@@ -1531,7 +1531,7 @@ let serve_bench () =
   in
   (* the counters that must not move during a warm phase *)
   let snapshot () =
-    let status, body = Serve.Client.request addr ~meth:"GET" ~path:"/metrics" in
+    let status, body = Serve.Client.request addr ~meth:"GET" ~path:"/v1/metrics" in
     if status <> 200 then failwith "metrics endpoint failed";
     let j = Api.data (Json.of_string body) in
     ( jint j [ "compiles" ],
@@ -1609,7 +1609,7 @@ let serve_bench () =
   (match List.nth_opt Dataset.study_images 6 with
   | None -> ()
   | Some img ->
-      let path = "/surface/" ^ Serve.image_name img in
+      let path = "/v1/surface/" ^ Serve.image_name img in
       let state hdrs = Option.value ~default:"?" (List.assoc_opt "x-depsurf-cache" hdrs) in
       let s1, h1, b1 = Serve.Client.request_full addr ~meth:"GET" ~path in
       let s2, h2, b2 = Serve.Client.request_full addr ~meth:"GET" ~path in
@@ -1644,8 +1644,8 @@ let serve_bench () =
         in
         let names = List.map Serve.image_name images in
         let reqs =
-          List.map (fun n -> "/surface/" ^ n) names
-          @ List.map (fun (a, b) -> "/diff/" ^ a ^ "/" ^ b) (adjacent_pairs names)
+          List.map (fun n -> "/v1/surface/" ^ n) names
+          @ List.map (fun (a, b) -> "/v1/diff/" ^ a ^ "/" ^ b) (adjacent_pairs names)
         in
         let cold = run_clients clients reqs ~f:get in
         (* every client raced the same uncached keys: single-flight means
@@ -1724,7 +1724,7 @@ let serve_bench () =
     let h2 = Serve.start srv2 (Serve.Unix_sock sock2) in
     let addr2 = Serve.bound_addr h2 in
     (* warm the route so the burst measures admission, not hydration *)
-    (match Serve.Client.request addr2 ~meth:"GET" ~path:"/healthz" with
+    (match Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/healthz" with
     | 200, _ -> ()
     | st, _ -> failwith (Printf.sprintf "overload warmup: healthz -> %d" st));
     let fd_before = Ds_util.Fdcount.count () in
@@ -1734,7 +1734,7 @@ let serve_bench () =
       List.init clients (fun _ ->
           Domain.spawn (fun () ->
               for _ = 1 to per_client do
-                match Serve.Client.request_full addr2 ~meth:"GET" ~path:"/healthz" with
+                match Serve.Client.request_full addr2 ~meth:"GET" ~path:"/v1/healthz" with
                 | 200, _, _ -> Atomic.incr ok
                 | 503, hdrs, _ ->
                     if List.assoc_opt "retry-after" hdrs = None then Atomic.incr bad
@@ -1764,7 +1764,7 @@ let serve_bench () =
     end;
     (* server-side tail of the accepted requests (client-side numbers
        would fold in our own scheduler noise): /metrics .latency_ms *)
-    let _, mbody = Serve.Client.request addr2 ~meth:"GET" ~path:"/metrics" in
+    let _, mbody = Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/metrics" in
     let mj = Api.data (Json.of_string mbody) in
     let accepted_p95 =
       match
@@ -1790,7 +1790,7 @@ let serve_bench () =
           let rec go n =
             if n = 0 then ()
             else
-              match Serve.Client.request addr2 ~meth:"GET" ~path:"/healthz" with
+              match Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/healthz" with
               | 200, _ -> Atomic.incr drained_ok; go (n - 1)
               | 503, _ -> go (n - 1)
               | _, _ -> Atomic.incr drained_dropped
@@ -2347,6 +2347,10 @@ let watch_bench () =
 (* ------------------------------------------------------------------ *)
 
 let () =
+  (* the serve sections run clients and server in this process: a shed
+     connection closed under a client's request write must surface as
+     EPIPE, not kill the harness *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
   let t0 = now () in

@@ -861,14 +861,7 @@ let serve_cmd =
              ~doc:"Also serve surfaces for every vmlinux-* file in this directory (extracted \
                    leniently, keyed by file name).")
   in
-  let no_legacy_arg =
-    Arg.(value & flag
-         & info [ "no-legacy-routes" ]
-             ~doc:"Disable the unprefixed legacy aliases: they answer 404 with a pointer \
-                   to the /v1 spelling. Without this flag they still work but carry \
-                   Deprecation and Sunset headers.")
-  in
-  let run seed scale cache jobs socket port host images_dir no_legacy =
+  let run seed scale cache jobs socket port host images_dir =
     (* one worker owns the accept loop, so serving needs at least 2 *)
     let jobs =
       match jobs with
@@ -881,7 +874,7 @@ let serve_cmd =
     with_store cache @@ fun store ->
     let ds = mk_ds seed scale store in
     with_pool jobs @@ fun pool ->
-    let t = Ds_serve.Serve.create ?images_dir ~legacy:(not no_legacy) ~ds ~pool () in
+    let t = Ds_serve.Serve.create ?images_dir ~ds ~pool () in
     let h =
       try Ds_serve.Serve.start t (addr_of ~socket ~port ~host)
       with Unix.Unix_error (e, _, arg) ->
@@ -916,15 +909,15 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the dependency-surface query service (GET /v1/healthz, /v1/images, \
              /v1/surface/IMAGE, /v1/diff/A/B, /v1/metrics, /v1/trace/recent; POST \
-             /v1/mismatch, /v1/verify; unprefixed legacy aliases).")
+             /v1/mismatch, /v1/verify; any path outside /v1 answers 404).")
     Term.(
       const run $ seed_arg $ scale_arg $ cache_arg $ jobs_arg $ socket_arg $ port_arg
-      $ host_arg $ images_dir_arg $ no_legacy_arg)
+      $ host_arg $ images_dir_arg)
 
 let query_cmd =
   let path_arg =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"PATH" ~doc:"Request path, e.g. /healthz or /surface/5.4-x86-generic.")
+         & info [] ~docv:"PATH" ~doc:"Request path, e.g. /v1/healthz or /v1/surface/5.4-x86-generic.")
   in
   let data_arg =
     Arg.(value & opt (some string) None

@@ -94,9 +94,11 @@ cmp "$TMP/cli-deps.json" "$TMP/srv-deps.json"
 Q '/v1/graph/blast/blk_account_io_start?release=5.8' > "$TMP/srv-blast.json"
 cmp "$TMP/srv-blast.json" "$TMP/blast.json"
 
-# the legacy alias answers byte-for-byte like the /v1 route
-Q /graph/deps/vfs_fsync > "$TMP/srv-deps-legacy.json"
-cmp "$TMP/srv-deps-legacy.json" "$TMP/srv-deps.json"
+# the unprefixed alias is retired: a 404 pointing at the /v1 route
+if Q /graph/deps/vfs_fsync > "$TMP/srv-deps-unprefixed.json"; then
+  echo "unprefixed /graph/deps answered" >&2; exit 1
+fi
+grep -q "use /v1/graph/deps/vfs_fsync" "$TMP/srv-deps-unprefixed.json"
 
 # graph endpoints are cacheable: a repeat is a response-cache hit with
 # identical bytes

@@ -2,12 +2,12 @@
 # End-to-end exercise of the query service through the CLI: serve over a
 # Unix socket, hit every endpoint with `depsurf query`, check that a
 # degraded on-disk image answers HTTP 200 (with "health": "degraded",
-# never a 500), compare /mismatch byte-for-byte with `depsurf report`,
-# check every /v1 route is byte-identical to its legacy alias, check
-# that the response-byte cache serves warm hits byte-identical to the
-# first render and that If-None-Match answers 304, then a 50-request
-# load smoke with /metrics accounting for every one; finally a TCP leg
-# on a kernel-chosen port (--port 0) parsed from serve's stdout.
+# never a 500), compare /v1/mismatch byte-for-byte with `depsurf report`,
+# check that unprefixed paths answer a 404 pointing at /v1, check that
+# both caches serve warm hits byte-identical to the first render and
+# that If-None-Match answers 304, then a 50-request load smoke with
+# /v1/metrics accounting for every one; finally a TCP leg on a
+# kernel-chosen port (--port 0) parsed from serve's stdout.
 set -eu
 
 CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -65,32 +65,36 @@ done
 Q() { $TO "$CLI" query --socket "$SOCK" "$@"; }
 
 # every endpoint answers
-Q /healthz | grep -q '"status": "ok"'
-Q /images > "$TMP/images.json"
+Q /v1/healthz | grep -q '"status": "ok"'
+Q /v1/images > "$TMP/images.json"
 grep -q '"5.4-x86-generic"' "$TMP/images.json"
 grep -q '"vmlinux-degraded"' "$TMP/images.json"
-Q /surface/5.4-x86-generic | grep -q '"health": "clean"'
-Q "/surface/4.4-x86-generic?kind=func&name=vfs_fsync" | grep -q '"vfs_fsync"'
-Q /diff/4.4-x86-generic/5.4-x86-generic | grep -q '"across_versions"'
+Q /v1/surface/5.4-x86-generic | grep -q '"health": "clean"'
+Q "/v1/surface/4.4-x86-generic?kind=func&name=vfs_fsync" | grep -q '"vfs_fsync"'
+Q /v1/diff/4.4-x86-generic/5.4-x86-generic | grep -q '"across_versions"'
 
 # the degraded image is HTTP 200 (query exits 0) with its health visible
-Q /surface/vmlinux-degraded > "$TMP/degraded.json"
+Q /v1/surface/vmlinux-degraded > "$TMP/degraded.json"
 grep -q '"health": "degraded"' "$TMP/degraded.json"
 grep -q '"diagnostics"' "$TMP/degraded.json"
 
 # errors are still errors: unknown image -> 404 -> exit 1
-if Q /surface/9.9-x86-generic > /dev/null 2>&1; then
+if Q /v1/surface/9.9-x86-generic > /dev/null 2>&1; then
   echo "unknown image did not fail" >&2; exit 1
 else
   [ $? -eq 1 ]
 fi
 
-# /v1/<route> answers byte-for-byte like its legacy alias
+# the unprefixed aliases are retired: each answers 404 (exit 1) with a
+# pointer to its /v1 spelling, also after the /v1 twin was served
 for route in /healthz /images /surface/5.4-x86-generic \
   /diff/4.4-x86-generic/5.4-x86-generic /surface/vmlinux-degraded; do
-  Q "$route" > "$TMP/legacy.json"
-  Q "/v1$route" > "$TMP/v1.json"
-  cmp "$TMP/legacy.json" "$TMP/v1.json"
+  if Q "$route" > "$TMP/unprefixed.json"; then
+    echo "unprefixed $route answered" >&2; exit 1
+  else
+    [ $? -eq 1 ]
+  fi
+  grep -q "use /v1$route" "$TMP/unprefixed.json"
 done
 
 # the envelope carries the API version on every JSON endpoint
@@ -104,10 +108,10 @@ grep -q '"dropped"' "$TMP/trace.json"
 # ?trace=1 inlines the request's own spans into the body
 Q '/v1/surface/5.4-x86-generic?trace=1' | grep -q '"trace"'
 
-# /mismatch is byte-identical to the CLI report for the same object
+# /v1/mismatch is byte-identical to the CLI report for the same object
 "$CLI" mkobj --tool biotop --out "$TMP/biotop.bpf.o" > /dev/null
 "$CLI" report --tool biotop > "$TMP/report.cli"
-Q --data "$TMP/biotop.bpf.o" /mismatch > "$TMP/report.srv"
+Q --data "$TMP/biotop.bpf.o" /v1/mismatch > "$TMP/report.srv"
 cmp "$TMP/report.cli" "$TMP/report.srv"
 
 # /v1/verify is byte-identical to `doctor --json` for the same object,
@@ -153,12 +157,12 @@ Q -i --data "$TMP/bad.bpf.o" /v1/verify > "$TMP/verify.other.http"
 sed -e '1,/^$/d' "$TMP/verify.other.http" > "$TMP/verify.other.body"
 cmp "$TMP/verify.other.body" "$TMP/verify.bad.srv"
 
-# response-byte cache: the first hit renders (miss), every later hit is
-# served from the cache — and the cached bytes are identical to the
-# rendered ones
-Q -i /surface/4.8-x86-generic > "$TMP/first.http"
+# document memo: the first hit renders (miss), every later hit is served
+# from the memo — and the memoized bytes are identical to the rendered
+# ones
+Q -i /v1/surface/4.8-x86-generic > "$TMP/first.http"
 grep -q '^x-depsurf-cache: miss$' "$TMP/first.http"
-Q -i /surface/4.8-x86-generic > "$TMP/second.http"
+Q -i /v1/surface/4.8-x86-generic > "$TMP/second.http"
 grep -q '^x-depsurf-cache: hit$' "$TMP/second.http"
 sed -e '1,/^$/d' "$TMP/first.http" > "$TMP/first.body"
 sed -e '1,/^$/d' "$TMP/second.http" > "$TMP/cached.body"
@@ -167,28 +171,29 @@ cmp "$TMP/first.body" "$TMP/cached.body"
 # conditional requests: send the ETag back, get an empty-bodied 304
 ETAG=$(sed -n 's/^etag: \(.*\)$/\1/p' "$TMP/second.http" | head -n 1)
 [ -n "$ETAG" ]
-Q -i -H "If-None-Match: $ETAG" /surface/4.8-x86-generic > "$TMP/cond.http"
+Q -i -H "If-None-Match: $ETAG" /v1/surface/4.8-x86-generic > "$TMP/cond.http"
 grep -q '^HTTP/1.1 304$' "$TMP/cond.http"
 grep -q "^etag: " "$TMP/cond.http"
 # nothing after the blank line: the 304 body is empty
 [ -z "$(sed -e '1,/^$/d' "$TMP/cond.http")" ]
 # a stale validator still gets the full representation
-Q -i -H 'If-None-Match: "stale"' /surface/4.8-x86-generic > "$TMP/stale.http"
+Q -i -H 'If-None-Match: "stale"' /v1/surface/4.8-x86-generic > "$TMP/stale.http"
 grep -q '^HTTP/1.1 200$' "$TMP/stale.http"
 
-# load smoke: 50 warm requests, then /metrics must account for them;
-# warm traffic is absorbed by the response cache (the index was hit only
-# while filling it)
+# load smoke: 50 warm requests, then /v1/metrics must account for them;
+# warm document traffic is absorbed by the document memo (filled once)
 i=0
 while [ $i -lt 50 ]; do
-  Q /surface/5.4-x86-generic > /dev/null
+  Q /v1/surface/5.4-x86-generic > /dev/null
   i=$((i + 1))
 done
-Q /metrics > "$TMP/metrics.json"
+Q /v1/metrics > "$TMP/metrics.json"
 total=$(sed -n 's/^ *"requests_total": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
 [ "$total" -ge 58 ]
+ihits=$(sed -n 's/^ *"index.hit.surface": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+[ "$ihits" -ge 50 ]
 chits=$(sed -n 's/^ *"cache.hit": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
-[ "$chits" -ge 50 ]
+[ "$chits" -ge 1 ]
 notmod=$(sed -n 's/^ *"cache.notmod": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
 [ "$notmod" -ge 1 ]
 fills=$(sed -n 's/^ *"index.fill.surface": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
@@ -217,9 +222,9 @@ done
 PORT=$(sed -n 's/.*listening on tcp:127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$TMP/tcp.log" | head -n 1)
 [ -n "$PORT" ] && [ "$PORT" -gt 0 ]
 $TO "$CLI" query --port "$PORT" /v1/healthz | grep -q '"status": "ok"'
-$TO "$CLI" query --port "$PORT" /healthz > "$TMP/tcp-legacy.json"
-$TO "$CLI" query --port "$PORT" /v1/healthz > "$TMP/tcp-v1.json"
-cmp "$TMP/tcp-legacy.json" "$TMP/tcp-v1.json"
+if $TO "$CLI" query --port "$PORT" /healthz > /dev/null; then
+  echo "unprefixed /healthz answered over tcp" >&2; exit 1
+fi
 
 # --retries rides out a restart window: against a dead address it must
 # fail only after backing off (not instantly, not forever)

@@ -5,10 +5,9 @@
 # long-poll follower, ingest a sabotaged release whose delta removes the
 # subscribed func, check the follower is woken with the mismatch event,
 # replay the cursor byte-identically, check the warm re-ingest performs
-# zero new extractions, then the legacy-sunset legs: Deprecation +
-# Sunset headers and the http.legacy_hits counter on unprefixed routes,
-# and a --no-legacy-routes restart (same store: subscriptions persist)
-# where legacy spellings answer 404 and /v1 still works.
+# zero new extractions, check an unprefixed path answers a 404 pointing
+# at /v1, then restart over the same store (subscriptions and events
+# persist, the replay is byte-identical).
 set -eu
 
 CLI=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -40,7 +39,7 @@ SOCK="$TMP/ds.sock"
 Q() { $TO "$CLI" query --socket "$SOCK" "$@"; }
 
 start_server() {
-  "$CLI" serve --socket "$SOCK" --cache-dir "$TMP/cache" "$@" > "$TMP/serve.log" 2>&1 &
+  "$CLI" serve --socket "$SOCK" --cache-dir "$TMP/cache" > "$TMP/serve.log" 2>&1 &
   SRV=$!
   i=0
   while [ $i -lt 200 ]; do
@@ -120,28 +119,20 @@ $TO "$CLI" watch ingest --socket "$SOCK" --base 5.4-x86-generic --name sabotaged
 grep -q '"warm": true' "$TMP/ingest2.json"
 Q /v1/metrics | grep -q '"extractions": 1'
 
-echo "== watch e2e: legacy sunset headers + counter"
-Q -i /healthz > "$TMP/legacy.out"
-grep -qi '^deprecation: true' "$TMP/legacy.out"
-grep -qi '^sunset: ' "$TMP/legacy.out"
-Q -i /v1/healthz > "$TMP/v1.out"
-if grep -qi '^deprecation:' "$TMP/v1.out"; then
-  echo "/v1 route carries a Deprecation header" >&2; exit 1
+echo "== watch e2e: unprefixed paths answer the /v1 pointer"
+if Q "/watch/$ID?since=0" > "$TMP/unprefixed.out" 2>&1; then
+  echo "unprefixed watch route answered" >&2; exit 1
 fi
-Q /v1/metrics | grep -q '"http.legacy_hits"'
+grep -q "/v1/watch/$ID" "$TMP/unprefixed.out"
 
-echo "== watch e2e: --no-legacy-routes restart (store persists)"
+echo "== watch e2e: restart (store persists)"
 Q "/v1/watch/$ID?since=0" > "$TMP/final.json"
 stop_server
-start_server --no-legacy-routes
+start_server
 # the subscription and its recorded events survive the restart
 $TO "$CLI" watch list --socket "$SOCK" | grep -q "$ID"
 Q "/v1/watch/$ID?since=0" > "$TMP/replayed.json"
 cmp "$TMP/final.json" "$TMP/replayed.json"
-if Q /healthz > "$TMP/legacy404.out" 2>&1; then
-  echo "legacy route answered under --no-legacy-routes" >&2; exit 1
-fi
-grep -q '/v1/healthz' "$TMP/legacy404.out"
 Q /v1/healthz | grep -q '"status": "ok"'
 
 echo "== watch e2e: unregister"

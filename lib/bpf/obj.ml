@@ -441,10 +441,6 @@ let read ?(mode = `Strict) data =
           let r = read_lenient_impl data in
           Diag.outcome ~diags:r.o_diags r.o_obj)
 
-let read_lenient data =
-  let o = read ~mode:`Lenient data in
-  { o_obj = Diag.ok o; o_diags = Diag.diags o }
-
 (* Resolve an access chain against the object's own BTF, skipping
    modifiers and following pointers, as libbpf does. The first access
    index selects the pointed-to object (almost always 0); subsequent

@@ -56,12 +56,6 @@ val read : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
     and recorded as diagnostics; a non-ELF or non-BPF input yields an
     empty object with a [Fatal] diagnostic. *)
 
-type read_result = { o_obj : t; o_diags : Ds_util.Diag.t list }
-
-val read_lenient : string -> read_result
-[@@ocaml.deprecated "use Obj.read ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [read ~mode:`Lenient]. *)
-
 val access_path : t -> int -> int list -> (string * string list) option
 (** [access_path obj type_id access] resolves a CO-RE access chain against
     the object's own BTF: returns the root struct name and the field-name

@@ -297,10 +297,6 @@ let decode ?(mode = `Strict) data =
           let r = decode_impl ~strict:false data in
           Diag.outcome ~diags:r.b_diags r.b_btf)
 
-let decode_lenient data =
-  let o = decode ~mode:`Lenient data in
-  { b_btf = o.Diag.ok; b_diags = o.Diag.diags }
-
 (* ------------------------------------------------------------------ *)
 (* Bridge to the C type model                                          *)
 (* ------------------------------------------------------------------ *)

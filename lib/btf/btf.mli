@@ -55,12 +55,6 @@ val decode : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
     and the loss (truncated records, bad string offsets, unsupported
     kinds, bogus section bounds) is described in [diags]. *)
 
-type decode_result = { b_btf : t; b_diags : Ds_util.Diag.t list }
-
-val decode_lenient : string -> decode_result
-[@@ocaml.deprecated "use Btf.decode ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [decode ~mode:`Lenient]. *)
-
 (** {2 Bridge to the canonical C type model} *)
 
 val of_env : Ds_ctypes.Decl.type_env -> Ds_ctypes.Decl.func_decl list -> t

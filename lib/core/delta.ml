@@ -38,10 +38,7 @@ let counts d =
   let c = tally c d.dl_tracepoints in
   tally c d.dl_syscalls
 
-let digest s =
-  let h = Ds_store.Store.Hash.create () in
-  Ds_store.Store.Hash.string h (Codec.encode_surface s);
-  Ds_store.Store.Hash.hex h
+let digest s = Ds_store.Store.Hash.digest (Codec.encode_surface s)
 
 (* ------------------------------ diffing ------------------------------ *)
 

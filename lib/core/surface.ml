@@ -321,8 +321,6 @@ let extract ?(mode = `Strict) data =
           let t = extract_lenient_impl data in
           Diag.outcome ~diags:t.s_health t)
 
-let extract_lenient data = Diag.ok (extract ~mode:`Lenient data)
-
 let health t = t.s_health
 let degraded t = Diag.is_degraded t.s_health
 

@@ -82,10 +82,6 @@ val extract : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
     object) yields an empty surface whose health carries a [Fatal]
     diagnostic. *)
 
-val extract_lenient : string -> t
-[@@ocaml.deprecated "use Surface.extract ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [extract ~mode:`Lenient]. *)
-
 val of_image : Ds_elf.Elf.t -> t
 (** Strict extraction from an already-parsed image (the historical
     [extract]). *)

@@ -423,6 +423,3 @@ let decode ?(mode = `Strict) ~info ~abbrev () =
           let r = decode_impl ~strict:false ~info ~abbrev in
           Diag.outcome ~diags:r.dw_diags r.dw_arena)
 
-let decode_lenient ~info ~abbrev =
-  let o = decode ~mode:`Lenient ~info ~abbrev () in
-  { dw_arena = o.Diag.ok; dw_diags = o.Diag.diags }

@@ -123,9 +123,3 @@ val decode :
     (resynchronizing on the unit header's length field), dangling
     references are dropped, and the losses are described in [diags].
     The trailing [unit] forces resolution of the optional [?mode]. *)
-
-type decode_result = { dw_arena : t; dw_diags : Ds_util.Diag.t list }
-
-val decode_lenient : info:string -> abbrev:string -> decode_result
-[@@ocaml.deprecated "use Die.decode ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [decode ~mode:`Lenient]. *)

@@ -516,6 +516,3 @@ let decode ?(mode = `Strict) ~info ~abbrev () =
           let cus, diags = decode_lenient_impl ~info ~abbrev in
           Ds_util.Diag.outcome ~diags cus)
 
-let decode_lenient ~info ~abbrev =
-  let o = decode ~mode:`Lenient ~info ~abbrev () in
-  (Ds_util.Diag.ok o, Ds_util.Diag.diags o)

@@ -56,6 +56,3 @@ val decode :
     described in [diags]. The trailing [unit] forces resolution of the
     optional [?mode]. *)
 
-val decode_lenient : info:string -> abbrev:string -> cu list * Ds_util.Diag.t list
-[@@ocaml.deprecated "use Info.decode ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [decode ~mode:`Lenient]. *)

@@ -385,10 +385,6 @@ let read ?(mode = `Strict) data =
           let r = read_impl ~strict:false data in
           Diag.outcome ~diags:r.r_diags r.r_elf)
 
-let read_lenient data =
-  let o = read ~mode:`Lenient data in
-  { r_elf = o.Diag.ok; r_diags = o.Diag.diags }
-
 let find_section t name = List.find_opt (fun s -> s.sec_name = name) t.sections
 
 let section_reader t name =

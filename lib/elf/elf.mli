@@ -53,12 +53,6 @@ val read : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
     (not an ELF file at all) yields an empty image plus a [Fatal]
     diagnostic. *)
 
-type read_result = { r_elf : t; r_diags : Ds_util.Diag.t list }
-
-val read_lenient : string -> read_result
-[@@ocaml.deprecated "use Elf.read ~mode:`Lenient"]
-(** @deprecated Thin wrapper over [read ~mode:`Lenient]. *)
-
 val find_section : t -> string -> section option
 val section_reader : t -> string -> Ds_util.Bytesio.Reader.t option
 (** Reader over a section's bytes, with the image's endianness. *)

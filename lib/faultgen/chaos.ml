@@ -25,7 +25,7 @@ let expect s = s.sc_expect
 
 let get path = Printf.sprintf "GET %s HTTP/1.1\r\nHost: chaos\r\nConnection: close\r\n\r\n" path
 
-let paths = [ "/healthz"; "/v1/healthz"; "/images"; "/v1/metrics" ]
+let paths = [ "/v1/healthz"; "/v1/images"; "/v1/metrics" ]
 
 let well_formed prng =
   let path = Prng.pick_list prng paths in
@@ -72,7 +72,7 @@ let stall prng =
   {
     sc_name = (if fragment then "stall after fragment" else "stall silent");
     sc_steps =
-      (if fragment then [ Send "GET /heal" ] else []) @ [ Pause 2.0; Recv 0 ];
+      (if fragment then [ Send "GET /v1/heal" ] else []) @ [ Pause 2.0; Recv 0 ];
     sc_expect = Any_status [ 408 ];
   }
 
@@ -97,7 +97,7 @@ let churn _prng =
 let oversized_headers prng =
   let pad = 70_000 + Prng.int prng 10_000 in
   let req =
-    Printf.sprintf "GET /healthz HTTP/1.1\r\nHost: chaos\r\nX-Pad: %s\r\nConnection: close\r\n\r\n"
+    Printf.sprintf "GET /v1/healthz HTTP/1.1\r\nHost: chaos\r\nX-Pad: %s\r\nConnection: close\r\n\r\n"
       (String.make pad 'a')
   in
   {

@@ -15,9 +15,17 @@ type node = {
   mutable n_next : node option;
 }
 
+(* a fill in progress: concurrent misses on its key wait for [f_result]
+   instead of rendering the same response again *)
+type flight = {
+  f_cond : Condition.t;
+  mutable f_result : (entry, exn * Printexc.raw_backtrace) result option;
+}
+
 type t = {
   c_mutex : Mutex.t;
   c_tbl : (string, node) Hashtbl.t;
+  c_flights : (string, flight) Hashtbl.t;
   c_max_entries : int;
   c_max_bytes : int;
   mutable c_bytes : int;
@@ -30,6 +38,7 @@ let create ?(max_entries = 512) ?(max_bytes = 64 * 1024 * 1024) () =
   {
     c_mutex = Mutex.create ();
     c_tbl = Hashtbl.create 64;
+    c_flights = Hashtbl.create 8;
     c_max_entries = max_entries;
     c_max_bytes = max_bytes;
     c_bytes = 0;
@@ -53,16 +62,18 @@ let push_front t n =
   (match t.c_head with Some h -> h.n_prev <- Some n | None -> t.c_tail <- Some n);
   t.c_head <- Some n
 
+(* caller holds the mutex *)
+let lookup t key =
+  match Hashtbl.find_opt t.c_tbl key with
+  | None -> None
+  | Some n ->
+      unlink t n;
+      push_front t n;
+      Some n.n_entry
+
 let find t key =
   Mutex.lock t.c_mutex;
-  let r =
-    match Hashtbl.find_opt t.c_tbl key with
-    | None -> None
-    | Some n ->
-        unlink t n;
-        push_front t n;
-        Some n.n_entry
-  in
+  let r = lookup t key in
   Mutex.unlock t.c_mutex;
   r
 
@@ -75,11 +86,11 @@ let evict_tail t =
       t.c_bytes <- t.c_bytes - n.n_size;
       true
 
-let add t key entry =
+(* caller holds the mutex *)
+let insert t key entry =
   let size = entry_size key entry in
   if size > t.c_max_bytes then 0
   else begin
-    Mutex.lock t.c_mutex;
     (match Hashtbl.find_opt t.c_tbl key with
     | Some old ->
         unlink t old;
@@ -98,9 +109,41 @@ let add t key entry =
     do
       incr evicted
     done;
-    Mutex.unlock t.c_mutex;
     !evicted
   end
+
+let add t key entry =
+  Mutex.lock t.c_mutex;
+  let evicted = insert t key entry in
+  Mutex.unlock t.c_mutex;
+  evicted
+
+let result = function Ok e -> e | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
+
+let find_or_fill t key fill =
+  Mutex.lock t.c_mutex;
+  match (lookup t key, Hashtbl.find_opt t.c_flights key) with
+  | Some e, _ ->
+      Mutex.unlock t.c_mutex;
+      `Hit e
+  | None, Some fl ->
+      while Option.is_none fl.f_result do
+        Condition.wait fl.f_cond t.c_mutex
+      done;
+      Mutex.unlock t.c_mutex;
+      `Miss (result (Option.get fl.f_result), 0)
+  | None, None ->
+      let fl = { f_cond = Condition.create (); f_result = None } in
+      Hashtbl.replace t.c_flights key fl;
+      Mutex.unlock t.c_mutex;
+      let r = try Ok (fill ()) with exn -> Error (exn, Printexc.get_raw_backtrace ()) in
+      Mutex.lock t.c_mutex;
+      let evicted = match r with Ok e when e.e_status = 200 -> insert t key e | _ -> 0 in
+      Hashtbl.remove t.c_flights key;
+      fl.f_result <- Some r;
+      Condition.broadcast fl.f_cond;
+      Mutex.unlock t.c_mutex;
+      `Miss (result r, evicted)
 
 let stats t =
   Mutex.lock t.c_mutex;

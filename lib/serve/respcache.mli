@@ -7,7 +7,8 @@
     normalized query params, index generation), so bumping the
     generation makes every older entry unreachable; stale entries then
     age out through the LRU. Thread-safe (one mutex; all operations are
-    O(1) plus hashing). *)
+    O(1) plus hashing). {!find_or_fill} is single-flight: concurrent
+    misses on one key render the response once. *)
 
 type entry = {
   e_status : int;
@@ -31,6 +32,14 @@ val add : t -> string -> entry -> int
     LRU tail until both caps hold again; returns the number of entries
     evicted. An entry larger than the byte cap is not stored (returns
     0). *)
+
+val find_or_fill :
+  t -> string -> (unit -> entry) -> [ `Hit of entry | `Miss of entry * int ]
+(** {!find}, or on a miss run [fill] and {!add} its result when its
+    status is 200. Concurrent misses on the same key wait for the one
+    fill in flight and share its result (or its exception, after which
+    the next request retries). [`Miss (e, evicted)] counts the entries
+    this call's insert evicted. *)
 
 val stats : t -> int * int
 (** [(entries, bytes)] currently cached. *)

@@ -55,19 +55,15 @@ type t = {
   sv_limits : limits;
   sv_adm : Admission.t;  (** accepted-connection bookkeeping + shedding *)
   sv_files : (string * string) list;  (** extra image name -> path *)
-  sv_cache : Respcache.t;  (** serialized (status, ctype, body, etag) per request key *)
+  sv_cache : Respcache.t;  (** every cacheable answer but the documents, LRU-bounded *)
   sv_generation : int Atomic.t;  (** part of every cache key; bump to invalidate *)
   sv_store_gen : int Atomic.t;  (** last-seen store maintenance generation *)
   sv_store_checked : float Atomic.t;  (** last revalidation poll (gettimeofday) *)
-  ix_surface : (string, string) Par.Memo.t;  (** image name -> response body *)
-  ix_diff : (string, string) Par.Memo.t;  (** "a|b" -> response body *)
-  ix_mismatch : (string, string) Par.Memo.t;  (** obj digest -> report *)
-  ix_verify : (string, string) Par.Memo.t;  (** "image|digest" -> response body *)
+  (* the documents: keyed by validated image names only, so finite *)
+  ix_surface : (string, Respcache.entry) Par.Memo.t;  (** image name -> document + ETag *)
+  ix_diff : (string, Respcache.entry) Par.Memo.t;  (** "a|b" -> document + ETag *)
   ix_file_surface : (string, Surface.t) Par.Memo.t;  (** lenient extracts *)
-  ix_graph : (string, string) Par.Memo.t;  (** graph query key -> response body *)
-  ix_blast : (string, string) Par.Memo.t;  (** "sym|release" -> response body *)
   sv_watch : Watch.t;  (** subscriptions + delta ingest + events *)
-  sv_legacy : bool;  (** serve unprefixed legacy routes (--no-legacy-routes) *)
   sv_parked : parked list ref;  (** long-pollers waiting for events, fd ownership here *)
   sv_park_mu : Mutex.t;
   sv_draining : bool Atomic.t;  (** SIGTERM drain: parked pollers answer immediately *)
@@ -92,7 +88,7 @@ and parked = {
   pk_expiry : float;  (** deadline-bounded: wait capped by the handle budget *)
 }
 
-let create ?images_dir ?limits ?(legacy = true) ~ds ~pool () =
+let create ?images_dir ?limits ~ds ~pool () =
   let limits = match limits with Some l -> l | None -> default_limits () in
   let files =
     match images_dir with
@@ -125,13 +121,8 @@ let create ?images_dir ?limits ?(legacy = true) ~ds ~pool () =
     sv_store_checked = Atomic.make (Unix.gettimeofday ());
     ix_surface = Par.Memo.create 64;
     ix_diff = Par.Memo.create 64;
-    ix_mismatch = Par.Memo.create 16;
-    ix_verify = Par.Memo.create 16;
     ix_file_surface = Par.Memo.create 16;
-    ix_graph = Par.Memo.create 64;
-    ix_blast = Par.Memo.create 16;
     sv_watch = Watch.create ~pool ~metrics ds;
-    sv_legacy = legacy;
     sv_parked = ref [];
     sv_park_mu = Mutex.create ();
     sv_draining = Atomic.make false;
@@ -151,9 +142,9 @@ let limits t = t.sv_limits
 let admission t = t.sv_adm
 let generation t = Atomic.get t.sv_generation
 
-(* Nothing mutates the indexes today (the study matrix is fixed and
-   [images_dir] is scanned once at [create]); this is the hook index
-   mutations must call so cached bytes and ETags stop matching. *)
+(* Nothing mutates the dataset today (the study matrix is fixed and
+   [images_dir] is scanned once at [create]); this is the hook mutations
+   must call so response-cache bytes and ETags stop matching. *)
 let invalidate t = Atomic.incr t.sv_generation
 
 (* The one external mutation source: `depsurf cache clear`/`gc`/`verify`
@@ -180,22 +171,6 @@ let revalidate_throttled t =
   let last = Atomic.get t.sv_store_checked in
   if now -. last >= 1.0 && Atomic.compare_and_set t.sv_store_checked last now then
     revalidate_store t
-
-(* hot-index lookup with hit/fill accounting; [Par.Memo] gives the
-   single-flight guarantee, so "index.fill.<kind>" advances exactly once
-   per key no matter how many requests race on it *)
-let indexed t memo kind key compute =
-  match Par.Memo.find_opt memo key with
-  | Some v ->
-      Metrics.incr t.sv_metrics ("index.hit." ^ kind);
-      v
-  | None ->
-      Par.Memo.find_or_compute memo key (fun () ->
-          (* cooperative budget check before the expensive fill: an
-             already-over-deadline request gives its worker back here *)
-          Deadline.check ();
-          Metrics.incr t.sv_metrics ("index.fill." ^ kind);
-          compute ())
 
 (* ---- sources ------------------------------------------------------- *)
 
@@ -224,6 +199,23 @@ let surface_of_source t name = function
 let json_body j = Json.to_string j ^ "\n"
 let ok_json j = (200, "application/json", json_body j)
 
+let etag_of_body body = "\"" ^ Store.Hash.digest body ^ "\""
+
+(* what the router hands back: status, content type, body, and for a
+   cacheable answer its (ETag, "hit" | "miss") *)
+type reply = int * string * string * (string * string) option
+
+let plain (status, ctype, body) : reply = (status, ctype, body, None)
+
+(* a rendered answer as either cache holds it: a 200's ETag is hashed
+   once, here, at fill *)
+let entry (status, ctype, body) =
+  let e_etag = if status = 200 then etag_of_body body else "" in
+  { Respcache.e_status = status; e_ctype = ctype; e_body = body; e_etag }
+
+let cached (e : Respcache.entry) state : reply =
+  (e.e_status, e.e_ctype, e.e_body, if e.e_status = 200 then Some (e.e_etag, state) else None)
+
 (* every non-2xx body, socket-layer rejections included, goes through
    the one [Api.error_envelope] constructor: {v, health, diagnostics}
    uniformly, golden-pinned in the tests *)
@@ -235,6 +227,36 @@ let scale_label ds =
   else if Dataset.scale ds = Calibration.test_scale then "test"
   else "custom"
 
+(* ---- documents ----------------------------------------------------- *)
+
+(* A dataset document (a whole surface or a pairwise diff): rendered and
+   ETag-hashed once per key, then held for the life of the process — the
+   key space is the validated image names, and a document is too big and
+   too costly to re-render to live in the LRU. [Par.Memo] is the
+   single-flight guarantee: "index.fill.<kind>" advances exactly once per
+   key no matter how many requests race on it. *)
+let document t memo kind key render =
+  match Par.Memo.find_opt memo key with
+  | Some e ->
+      Metrics.incr t.sv_metrics ("index.hit." ^ kind);
+      cached e "hit"
+  | None ->
+      let fill () =
+        (* cooperative budget check before the expensive fill: an
+           already-over-deadline request gives its worker back here *)
+        Deadline.check ();
+        Metrics.incr t.sv_metrics ("index.fill." ^ kind);
+        entry (200, "application/json", render ())
+      in
+      cached (Par.Memo.find_or_compute memo key fill) "miss"
+
+let index_json t =
+  Json.Obj
+    [
+      ("surfaces", Json.Int (Par.Memo.length t.ix_surface));
+      ("diffs", Json.Int (Par.Memo.length t.ix_diff));
+    ]
+
 (* ---- endpoints ----------------------------------------------------- *)
 
 let healthz t =
@@ -245,16 +267,7 @@ let healthz t =
          ("status", Json.String "ok");
          ("scale", Json.String (scale_label t.sv_ds));
          ("images", Json.Int (List.length Dataset.study_images + List.length t.sv_files));
-         ( "index",
-           Json.Obj
-             [
-               ("surfaces", Json.Int (Par.Memo.length t.ix_surface));
-               ("diffs", Json.Int (Par.Memo.length t.ix_diff));
-               ("mismatches", Json.Int (Par.Memo.length t.ix_mismatch));
-               ("verifies", Json.Int (Par.Memo.length t.ix_verify));
-               ("graphs", Json.Int (Par.Memo.length t.ix_graph));
-               ("blasts", Json.Int (Par.Memo.length t.ix_blast));
-             ] );
+         ("index", index_json t);
        ])
 
 let images t =
@@ -281,20 +294,24 @@ let construct_entry s kind name =
   | "syscall" -> if Surface.has_syscall s name then Some (Json.Bool true) else None
   | _ -> None
 
+(* /surface/<image> without kind= and name= is the whole document *)
+let whole_surface query = not (List.mem_assoc "kind" query || List.mem_assoc "name" query)
+
+let surface_document t name =
+  match find_source t name with
+  | None -> plain (error_json 404 ("unknown image: " ^ name))
+  | Some src ->
+      document t t.ix_surface "surface" name (fun () ->
+          Metrics.incr t.sv_metrics "compute.surface";
+          let s = surface_of_source t name src in
+          json_body (Api.of_diags ~data:(Export.surface_with_health s) (Surface.health s)))
+
+(* one construct of a surface: ?kind=&name= *)
 let surface_endpoint t name query =
   match find_source t name with
   | None -> error_json 404 ("unknown image: " ^ name)
   | Some src -> (
       match (List.assoc_opt "kind" query, List.assoc_opt "name" query) with
-      | None, None ->
-          let body =
-            indexed t t.ix_surface "surface" name (fun () ->
-                Metrics.incr t.sv_metrics "compute.surface";
-                let s = surface_of_source t name src in
-                json_body
-                  (Api.of_diags ~data:(Export.surface_with_health s) (Surface.health s)))
-          in
-          (200, "application/json", body)
       | Some kind, Some cname -> (
           if not (List.mem kind [ "func"; "struct"; "tracepoint"; "syscall" ]) then
             error_json 400 ("unknown kind: " ^ kind ^ " (func|struct|tracepoint|syscall)")
@@ -317,41 +334,38 @@ let surface_endpoint t name query =
                      (Surface.health s)))
       | _ -> error_json 400 "kind= and name= must be given together")
 
-let diff_endpoint t a b =
+let diff_document t a b =
   match (image_of_name a, image_of_name b) with
-  | None, _ -> error_json 404 ("unknown image: " ^ a)
-  | _, None -> error_json 404 ("unknown image: " ^ b)
+  | None, _ -> plain (error_json 404 ("unknown image: " ^ a))
+  | _, None -> plain (error_json 404 ("unknown image: " ^ b))
   | Some (va, ca), Some (vb, cb) ->
-      let body =
-        indexed t t.ix_diff "diff" (a ^ "|" ^ b) (fun () ->
-            let sa = Dataset.surface t.sv_ds va ca in
-            let sb = Dataset.surface t.sv_ds vb cb in
-            let mode =
-              if Version.equal va vb then Diff.Across_configs else Diff.Across_versions
-            in
-            (* persistent tier: arbitrary pairs are store artifacts too,
-               so a restarted server re-hydrates instead of re-diffing *)
-            let d =
-              Store.memo (Dataset.store t.sv_ds) ~ns:"diff"
-                ~key:(Dataset.cache_key t.sv_ds ~label:"pair-diff" [ a; b ])
-                ~encode:Codec.encode_diff ~decode:Codec.decode_diff
-                (fun () ->
-                  Metrics.incr t.sv_metrics "compute.diff";
-                  Diff.compare_surfaces mode sa sb)
-            in
-            let fields = match Export.diff d with Json.Obj fs -> fs | _ -> [] in
-            json_body
-              (Api.envelope
-              @@ Json.Obj
-                   (("from", Json.String a) :: ("to", Json.String b)
-                   :: ( "mode",
-                        Json.String
-                          (match mode with
-                          | Diff.Across_versions -> "across_versions"
-                          | Diff.Across_configs -> "across_configs") )
-                   :: fields)))
-      in
-      (200, "application/json", body)
+      document t t.ix_diff "diff" (a ^ "|" ^ b) (fun () ->
+          let sa = Dataset.surface t.sv_ds va ca in
+          let sb = Dataset.surface t.sv_ds vb cb in
+          let mode =
+            if Version.equal va vb then Diff.Across_configs else Diff.Across_versions
+          in
+          (* persistent tier: arbitrary pairs are store artifacts too,
+             so a restarted server re-hydrates instead of re-diffing *)
+          let d =
+            Store.memo (Dataset.store t.sv_ds) ~ns:"diff"
+              ~key:(Dataset.cache_key t.sv_ds ~label:"pair-diff" [ a; b ])
+              ~encode:Codec.encode_diff ~decode:Codec.decode_diff
+              (fun () ->
+                Metrics.incr t.sv_metrics "compute.diff";
+                Diff.compare_surfaces mode sa sb)
+          in
+          let fields = match Export.diff d with Json.Obj fs -> fs | _ -> [] in
+          json_body
+            (Api.envelope
+            @@ Json.Obj
+                 (("from", Json.String a) :: ("to", Json.String b)
+                 :: ( "mode",
+                      Json.String
+                        (match mode with
+                        | Diff.Across_versions -> "across_versions"
+                        | Diff.Across_configs -> "across_configs") )
+                 :: fields)))
 
 (* ---- /graph/* ------------------------------------------------------ *)
 
@@ -381,18 +395,9 @@ let graph_query_endpoint t dir sym query =
       | None -> error_json 404 ("unknown image: " ^ Option.value ~default:"" (List.assoc_opt "image" query))
       | Some (v, cfg) ->
           let transitive = List.assoc_opt "transitive" query = Some "1" in
-          let dname = match dir with `Deps -> "deps" | `Rdeps -> "rdeps" in
-          let key =
-            Printf.sprintf "%s|%s|%s|%b" dname (image_name (v, cfg)) (Depset.dep_to_string node)
-              transitive
-          in
-          let body =
-            indexed t t.ix_graph "graph" key (fun () ->
-                Metrics.incr t.sv_metrics "compute.graph";
-                let g = Ds_graph.Graph.of_dataset ~pool:t.sv_pool t.sv_ds v cfg in
-                json_body (Api.envelope (Ds_graph.Graph.query_json g ~dir ~transitive node)))
-          in
-          (200, "application/json", body))
+          Metrics.incr t.sv_metrics "compute.graph";
+          let g = Ds_graph.Graph.of_dataset ~pool:t.sv_pool t.sv_ds v cfg in
+          ok_json (Api.envelope (Ds_graph.Graph.query_json g ~dir ~transitive node)))
 
 let graph_blast_endpoint t sym query =
   match Depset.dep_of_string sym with
@@ -407,16 +412,12 @@ let graph_blast_endpoint t sym query =
             error_json 404
               (Printf.sprintf "release %s is not a diffable study release"
                  (Version.to_string release))
-          else
-            let key = Depset.dep_to_string node ^ "|" ^ Version.to_string release in
-            let body =
-              indexed t t.ix_blast "blast" key (fun () ->
-                  Metrics.incr t.sv_metrics "compute.blast";
-                  match Ds_graph.Blast.query ~pool:t.sv_pool t.sv_ds ~release node with
-                  | Ok r -> json_body (Api.envelope (Ds_graph.Blast.json r))
-                  | Error e -> failwith e)
-            in
-            (200, "application/json", body))
+          else begin
+            Metrics.incr t.sv_metrics "compute.blast";
+            match Ds_graph.Blast.query ~pool:t.sv_pool t.sv_ds ~release node with
+            | Ok r -> ok_json (Api.envelope (Ds_graph.Blast.json r))
+            | Error e -> failwith e
+          end)
 
 (* stable-probe suggestions: every registry probe whose candidate hooks
    overlap the object's dependency set, resolved across the x86 series *)
@@ -462,22 +463,18 @@ let mismatch_endpoint t query body =
   else
     match Ds_util.Diag.ok (Ds_bpf.Obj.read body) with
     | exception Ds_bpf.Obj.Bad_obj m -> error_json 400 ("bad BPF object: " ^ m)
-    | obj ->
-        let digest =
-          let h = Store.Hash.create () in
-          Store.Hash.string h body;
-          Store.Hash.hex h
-        in
-        let report =
-          indexed t t.ix_mismatch "mismatch" digest (fun () ->
-              Metrics.incr t.sv_metrics "compute.mismatch";
-              Report.render_matrix (Pipeline.analyze t.sv_ds obj))
-        in
-        let report =
-          if List.assoc_opt "suggest" query = Some "1" then report ^ suggestions t obj
-          else report
-        in
-        (200, "text/plain", report)
+    | obj -> (
+        Metrics.incr t.sv_metrics "compute.mismatch";
+        (* the object's BTF is only resolved by the analysis: a broken
+           type reference there is the client's object, not a 500 *)
+        match Report.render_matrix (Pipeline.analyze t.sv_ds obj) with
+        | exception Ds_btf.Btf.Bad_btf m -> error_json 400 ("bad BPF object: BTF " ^ m)
+        | report ->
+            let report =
+              if List.assoc_opt "suggest" query = Some "1" then report ^ suggestions t obj
+              else report
+            in
+            (200, "text/plain", report))
 
 (* Structured verifier-rejection diagnostics for one object against one
    study image. The body is the exact [Verify.envelope] bytes [depsurf
@@ -485,25 +482,18 @@ let mismatch_endpoint t query body =
    with [cmp]. Unlike /mismatch, a rejected object still answers 200 —
    the rejection is the payload; only a request-shaped problem (empty
    body, unknown image) is an HTTP error. *)
-let verify_endpoint t query body =
+let verify_endpoint t query ~digest body =
   if String.length body = 0 then error_json 400 "empty body: POST the BPF object bytes"
   else begin
     let image = Option.value ~default:"5.4-x86-generic" (List.assoc_opt "image" query) in
     match image_of_name image with
     | None -> error_json 400 ("unknown study image: " ^ image)
     | Some (v, cfg) ->
-        let digest = Ds_verify.Verify.digest body in
-        let rbody =
-          indexed t t.ix_verify "verify" (image ^ "|" ^ digest) (fun () ->
-              Metrics.incr t.sv_metrics "compute.verify";
-              Trace.span ~name:"verify.obj"
-                ~attrs:[ ("image", image); ("digest", digest) ]
-                (fun () ->
-                  json_body
-                    (Ds_verify.Verify.envelope
-                       (Ds_verify.Verify.of_dataset t.sv_ds v cfg body))))
-        in
-        (200, "application/json", rbody)
+        Metrics.incr t.sv_metrics "compute.verify";
+        Trace.span ~name:"verify.obj"
+          ~attrs:[ ("image", image); ("digest", Lazy.force digest) ]
+          (fun () ->
+            ok_json (Ds_verify.Verify.envelope (Ds_verify.Verify.of_dataset t.sv_ds v cfg body)))
   end
 
 let metrics_endpoint t =
@@ -530,16 +520,7 @@ let metrics_endpoint t =
        (("requests_total", Json.Int (Metrics.counter t.sv_metrics "requests_total"))
        :: ("compiles", Json.Int (Dataset.compile_count t.sv_ds))
        :: ("store", store_json)
-       :: ( "index",
-            Json.Obj
-              [
-                ("surfaces", Json.Int (Par.Memo.length t.ix_surface));
-                ("diffs", Json.Int (Par.Memo.length t.ix_diff));
-                ("mismatches", Json.Int (Par.Memo.length t.ix_mismatch));
-                ("verifies", Json.Int (Par.Memo.length t.ix_verify));
-                ("graphs", Json.Int (Par.Memo.length t.ix_graph));
-                ("blasts", Json.Int (Par.Memo.length t.ix_blast));
-              ] )
+       :: ("index", index_json t)
        :: ( "response_cache",
             Json.Obj
               [
@@ -775,31 +756,18 @@ let inject_trace root_id body =
         (Json.Obj (fields @ [ ("trace", Json.List (List.map Trace.span_json sps)) ]))
   | _ -> body
 
-(* satellite: the one mutation envelope shared by every POST endpoint —
-   [{v; params; body}] is unwrapped here so the endpoints only ever see
-   effective (params, body); a bare body passes through untouched *)
-let with_mutation t query body f =
-  match Api.parse_mutation body with
-  | Error problems -> error_json ~diagnostics:problems 400 "invalid request envelope"
-  | Ok m ->
-      if m.Api.mu_enveloped then Metrics.incr t.sv_metrics "requests.enveloped";
-      (* envelope params win over query-string duplicates (assoc finds
-         the first binding) *)
-      f t (m.Api.mu_params @ query) m.Api.mu_body
-
-let dispatch t ~meth ~segs ~query ~body =
+let dispatch t ~meth ~segs ~query ~body ~digest =
   Deadline.check ();
   match (meth, segs) with
   | "GET", [ "healthz" ] -> healthz t
   | "GET", [ "images" ] -> images t
   | "GET", [ "surface"; name ] -> surface_endpoint t name query
-  | "GET", [ "diff"; a; b ] -> diff_endpoint t a b
   | "GET", [ "graph"; "deps"; sym ] -> graph_query_endpoint t `Deps sym query
   | "GET", [ "graph"; "rdeps"; sym ] -> graph_query_endpoint t `Rdeps sym query
   | "GET", [ "graph"; "blast"; sym ] -> graph_blast_endpoint t sym query
-  | "POST", [ "mismatch" ] -> with_mutation t query body mismatch_endpoint
-  | "POST", [ "verify" ] -> with_mutation t query body verify_endpoint
-  | "POST", [ "subscriptions" ] -> with_mutation t query body subscriptions_create
+  | "POST", [ "mismatch" ] -> mismatch_endpoint t query body
+  | "POST", [ "verify" ] -> verify_endpoint t query ~digest body
+  | "POST", [ "subscriptions" ] -> subscriptions_create t query body
   | "GET", [ "subscriptions" ] -> subscriptions_list t
   | "GET", [ "subscriptions"; id ] -> subscription_get t id
   | "DELETE", [ "subscriptions"; id ] -> subscription_delete t id
@@ -812,19 +780,19 @@ let dispatch t ~meth ~segs ~query ~body =
       | [ "graph"; ("deps" | "rdeps" | "blast"); _ ]
       | [ "metrics" ] | [ "trace"; "recent" ] ) ) ->
       error_json 405 ("method not allowed: " ^ meth)
-  | _, [ "mismatch" ] -> error_json 405 "POST the BPF object bytes to /mismatch"
-  | _, [ "verify" ] -> error_json 405 "POST the BPF object bytes to /verify"
+  | _, [ "mismatch" ] -> error_json 405 "POST the BPF object bytes to /v1/mismatch"
+  | _, [ "verify" ] -> error_json 405 "POST the BPF object bytes to /v1/verify"
   | _, [ "subscriptions" ] ->
-      error_json 405 "POST a depset to /subscriptions, or GET to list"
-  | _, [ "subscriptions"; _ ] -> error_json 405 "GET or DELETE /subscriptions/<id>"
+      error_json 405 "POST a depset to /v1/subscriptions, or GET to list"
+  | _, [ "subscriptions"; _ ] -> error_json 405 "GET or DELETE /v1/subscriptions/<id>"
   | _, [ "watch"; "ingest" ] ->
-      error_json 405 "POST the release image to /watch/ingest?base=<image>"
-  | _, [ "watch"; _ ] -> error_json 405 "GET /watch/<sub-id>?since=<cursor>"
+      error_json 405 "POST the release image to /v1/watch/ingest?base=<image>"
+  | _, [ "watch"; _ ] -> error_json 405 "GET /v1/watch/<sub-id>?since=<cursor>"
   | _ ->
       error_json 404
-        "no such endpoint (healthz, images, surface, diff, graph/deps, graph/rdeps, \
-         graph/blast, mismatch, verify, subscriptions, watch/ingest, watch/<sub-id>, \
-         metrics, trace/recent; all also under /v1)"
+        "no such endpoint (under /v1: healthz, images, surface, diff, graph/deps, \
+         graph/rdeps, graph/blast, mismatch, verify, subscriptions, watch/ingest, \
+         watch/<sub-id>, metrics, trace/recent)"
 
 let route_label segs =
   match segs with
@@ -841,22 +809,18 @@ let route_label segs =
   | "trace" :: _ -> "/trace"
   | _ -> "/other"
 
-(* Only responses that are pure functions of (segs, query, body,
-   generation) are cacheable: healthz/metrics/trace bodies report live
-   counters, and ?trace=1 inlines the current request's own spans.
-   POST /verify qualifies — its answer is a function of the posted
-   bytes, which enter the key as a content digest. *)
-let cacheable_route ~meth ~segs ~query =
-  (match (meth, segs) with
-  | ( "GET",
-      ( [ "images" ] | [ "surface"; _ ] | [ "diff"; _; _ ]
-      | [ "graph"; ("deps" | "rdeps" | "blast"); _ ] ) ) ->
+(* Response-cache routes: answers that are pure functions of (segs,
+   query, body, generation) and are not documents. healthz/metrics/trace
+   bodies report live counters. The POSTs qualify because their answer is
+   a function of the posted bytes, which enter the key as a digest. *)
+let cacheable_route ~meth ~segs =
+  match (meth, segs) with
+  | "GET", ([ "images" ] | [ "surface"; _ ] | [ "graph"; ("deps" | "rdeps" | "blast"); _ ]) ->
       true
-  | "POST", [ "verify" ] -> true
-  | _ -> false)
-  && List.assoc_opt "trace" query <> Some "1"
+  | "POST", ([ "mismatch" ] | [ "verify" ]) -> true
+  | _ -> false
 
-let cache_key t ~segs ~query ~body =
+let cache_key t ~segs ~query ~body ~digest =
   let b = Buffer.create 64 in
   Buffer.add_string b (string_of_int (Atomic.get t.sv_generation));
   List.iter
@@ -872,28 +836,58 @@ let cache_key t ~segs ~query ~body =
       Buffer.add_char b '=';
       Buffer.add_string b v)
     (List.sort compare query);
-  (* request bodies (POST /verify) participate by digest: repeat posts
-     of the same object bytes share one cached response *)
+  (* request bodies participate by the digest the endpoint uses too:
+     repeat posts of the same object bytes share one cached response *)
   if String.length body > 0 then begin
     Buffer.add_char b '#';
-    Buffer.add_string b (Ds_verify.Verify.digest body)
+    Buffer.add_string b (Lazy.force digest)
   end;
   Buffer.contents b
 
-(* the announced retirement date for the unprefixed legacy aliases *)
-let sunset_date = "Thu, 01 Jul 2027 00:00:00 GMT"
+(* the Respcache tier, single-flight per key; only 200s are stored *)
+let cached_or_dispatch t ~meth ~segs ~query ~body ~traced : reply =
+  let digest = lazy (Store.Hash.digest body) in
+  if traced || not (cacheable_route ~meth ~segs) then
+    plain (dispatch t ~meth ~segs ~query ~body ~digest)
+  else begin
+    (* external store maintenance must not leave stale bytes in the
+       response cache — cheap throttled poll, see [revalidate_store] *)
+    revalidate_throttled t;
+    let fill () = entry (dispatch t ~meth ~segs ~query ~body ~digest) in
+    match Respcache.find_or_fill t.sv_cache (cache_key t ~segs ~query ~body ~digest) fill with
+    | `Hit e ->
+        Metrics.incr t.sv_metrics "cache.hit";
+        cached e "hit"
+    | `Miss (e, evicted) ->
+        Metrics.incr t.sv_metrics "cache.miss";
+        if evicted > 0 then Metrics.incr t.sv_metrics ~by:evicted "cache.evict";
+        cached e "miss"
+  end
 
-let etag_of_body body =
-  let h = Store.Hash.create () in
-  Store.Hash.string h body;
-  "\"" ^ Store.Hash.hex h ^ "\""
+(* Each cacheable answer lives in exactly one cache: the documents in
+   their memos, everything else in the Respcache. The mutation envelope
+   [{v; params; body}] is unwrapped first, so the endpoints and the cache
+   key only ever see the effective (params, body); a bare body passes
+   through untouched. *)
+let respond t ~meth ~segs ~query ~body ~traced : reply =
+  match (meth, segs) with
+  | "GET", [ "surface"; name ] when whole_surface query -> surface_document t name
+  | "GET", [ "diff"; a; b ] -> diff_document t a b
+  | "POST", ([ "mismatch" ] | [ "verify" ] | [ "subscriptions" ]) -> (
+      match Api.parse_mutation body with
+      | Error problems -> plain (error_json ~diagnostics:problems 400 "invalid request envelope")
+      | Ok m ->
+          if m.Api.mu_enveloped then Metrics.incr t.sv_metrics "requests.enveloped";
+          (* envelope params win over query-string duplicates (assoc
+             finds the first binding) *)
+          cached_or_dispatch t ~meth ~segs ~query:(m.Api.mu_params @ query) ~body:m.Api.mu_body
+            ~traced)
+  | _ -> cached_or_dispatch t ~meth ~segs ~query ~body ~traced
 
-(* RFC 9110 If-None-Match: "*" or a comma-separated list of entity tags *)
-let etag_matches header etag =
-  String.trim header = "*"
-  || List.exists (fun tok -> String.trim tok = etag) (String.split_on_char ',' header)
-
-let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
+(* The one request-target parser, shared by the router and the parking
+   check: the path's percent-decoded segments after the /v1 prefix
+   ([None] for a path outside /v1) and the decoded query. *)
+let parse_target target =
   let path, query =
     match Ds_util.Strutil.cut ~on:'?' target with
     | None -> (target, [])
@@ -902,14 +896,17 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
   let segs =
     String.split_on_char '/' path |> List.filter (fun s -> s <> "") |> List.map percent_decode
   in
-  (* /v1/<route> and the bare legacy <route> share one handler (and one
-     cached body), which makes the byte-identical-alias guarantee
-     structural rather than something each endpoint re-implements *)
-  let is_v1 = match segs with "v1" :: _ -> true | _ -> false in
-  let segs = match segs with "v1" :: rest -> rest | segs -> segs in
-  let label = route_label segs in
-  let legacy_hit = (not is_v1) && segs <> [] in
-  if legacy_hit then Metrics.incr t.sv_metrics "http.legacy_hits";
+  (path, query, match segs with "v1" :: rest -> Some rest | _ -> None)
+
+(* RFC 9110 If-None-Match: "*" or a comma-separated list of entity tags *)
+let etag_matches header etag =
+  String.trim header = "*"
+  || List.exists (fun tok -> String.trim tok = etag) (String.split_on_char ',' header)
+
+let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
+  let path, query, segs = parse_target target in
+  let label = match segs with Some segs -> route_label segs | None -> "/other" in
+  let traced = List.assoc_opt "trace" query = Some "1" in
   Metrics.incr t.sv_metrics "requests_total";
   let t0 = Unix.gettimeofday () in
   let trace_id = ref 0 in
@@ -923,42 +920,12 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
              any pool fan-out the handler performs *)
           Deadline.with_timeout ~label:"serve.handle" t.sv_limits.li_handle_deadline_s
           @@ fun () ->
-          if legacy_hit && not t.sv_legacy then
-            (* sunset enforced: the unprefixed aliases are gone, and the
-               404 must precede the cache (legacy and /v1 share keys) *)
-            let status, ctype, rbody =
-              error_json 404 ("legacy route disabled: use /v1" ^ path)
-            in
-            (status, ctype, rbody, None)
-          else if not (cacheable_route ~meth ~segs ~query) then
-            let status, ctype, rbody = dispatch t ~meth ~segs ~query ~body in
-            (status, ctype, rbody, None)
-          else begin
-            (* external store maintenance must not leave stale bytes in
-               the response cache — cheap throttled poll, see
-               [revalidate_store] *)
-            revalidate_throttled t;
-            let key = cache_key t ~segs ~query ~body in
-            match Respcache.find t.sv_cache key with
-            | Some e ->
-                Metrics.incr t.sv_metrics "cache.hit";
-                (e.Respcache.e_status, e.Respcache.e_ctype, e.Respcache.e_body,
-                 Some (e.Respcache.e_etag, "hit"))
-            | None ->
-                Metrics.incr t.sv_metrics "cache.miss";
-                let status, ctype, rbody = dispatch t ~meth ~segs ~query ~body in
-                if status <> 200 then (status, ctype, rbody, None)
-                else begin
-                  let etag = etag_of_body rbody in
-                  let evicted =
-                    Respcache.add t.sv_cache key
-                      { Respcache.e_status = status; e_ctype = ctype; e_body = rbody;
-                        e_etag = etag }
-                  in
-                  for _ = 1 to evicted do Metrics.incr t.sv_metrics "cache.evict" done;
-                  (status, ctype, rbody, Some (etag, "miss"))
-                end
-          end
+          match segs with
+          | None ->
+              (* the unprefixed aliases are retired: answered before any
+                 cache, so no /v1 body ever reaches an unprefixed path *)
+              plain (error_json 404 ("unprefixed routes are retired: use /v1" ^ path))
+          | Some segs -> respond t ~meth ~segs ~query ~body ~traced
         with
         | Deadline.Expired (_, over) ->
             (* the handler ran out of its budget: overload, not a bug —
@@ -973,21 +940,16 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
                   ("over_ms", Printf.sprintf "%.0f" (over *. 1000.));
                 ]
               (fun () -> ());
-            let status, ctype, rbody =
-              error_json 503
-                (Printf.sprintf "deadline exceeded after %.0fms"
-                   (t.sv_limits.li_handle_deadline_s *. 1000.))
-            in
-            (status, ctype, rbody, None)
-        | e ->
-            let status, ctype, rbody = error_json 500 ("internal error: " ^ Printexc.to_string e) in
-            (status, ctype, rbody, None))
+            plain
+              (error_json 503
+                 (Printf.sprintf "deadline exceeded after %.0fms"
+                    (t.sv_limits.li_handle_deadline_s *. 1000.)))
+        | e -> plain (error_json 500 ("internal error: " ^ Printexc.to_string e)))
   in
-  let rbody =
-    if List.assoc_opt "trace" query = Some "1" && ctype = "application/json" then
-      inject_trace !trace_id rbody
-    else rbody
-  in
+  (* ?trace=1 inlines this request's own spans, so the body is no longer
+     the cached representation and carries no ETag *)
+  let rbody = if traced && ctype = "application/json" then inject_trace !trace_id rbody else rbody in
+  let etag = if traced then None else etag in
   (* conditional requests: a matching If-None-Match turns the response
      into an empty-body 304 carrying the same ETag — the warm client
      path pays for headers, never for a multi-MB body *)
@@ -1002,14 +964,8 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
   Metrics.incr t.sv_metrics ("requests." ^ label);
   if status >= 400 then Metrics.incr t.sv_metrics ("errors." ^ label);
   let resp_headers =
-    match etag with
-    | None -> [ ("x-depsurf-trace", string_of_int !trace_id) ]
-    | Some (tag, state) ->
-        [
-          ("x-depsurf-trace", string_of_int !trace_id);
-          ("ETag", tag);
-          ("x-depsurf-cache", state);
-        ]
+    ("x-depsurf-trace", string_of_int !trace_id)
+    :: (match etag with Some (tag, state) -> [ ("ETag", tag); ("x-depsurf-cache", state) ] | None -> [])
   in
   let resp_headers =
     match !retry_after with
@@ -1022,13 +978,6 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
     match pressure with
     | Some sev -> ("x-depsurf-pressure", Diag.severity_to_string sev) :: resp_headers
     | None -> resp_headers
-  in
-  (* satellite: unprefixed legacy spellings still answer (byte-identical
-     body) but are marked for retirement, RFC 8594-style *)
-  let resp_headers =
-    if legacy_hit && t.sv_legacy then
-      ("Deprecation", "true") :: ("Sunset", sunset_date) :: resp_headers
-    else resp_headers
   in
   (status, ctype, resp_headers, rbody)
 
@@ -1314,36 +1263,20 @@ let sweep_parked ?(force = false) t =
     List.iter (fun p -> deliver_parked t p) ready
   end
 
-(* does this request ask to be parked? GET /v1/watch/<id>?wait=<s>, with
-   the same legacy gating as the routed path *)
-let park_candidate t ~meth ~target =
-  if meth <> "GET" then None
-  else
-    let path, query =
-      match Ds_util.Strutil.cut ~on:'?' target with
-      | None -> (target, [])
-      | Some (path, qs) -> (path, parse_query qs)
-    in
-    let segs =
-      String.split_on_char '/' path |> List.filter (fun s -> s <> "") |> List.map percent_decode
-    in
-    let is_v1, segs =
-      match segs with "v1" :: rest -> (true, rest) | segs -> (false, segs)
-    in
-    if (not is_v1) && not t.sv_legacy then None
-    else
-      match segs with
-      | [ "watch"; id ] when id <> "ingest" -> (
-          match Option.bind (List.assoc_opt "wait" query) float_of_string_opt with
-          | Some w when w > 0. ->
-              let since =
-                match Option.bind (List.assoc_opt "since" query) int_of_string_opt with
-                | Some n when n >= 0 -> n
-                | _ -> 0
-              in
-              Some (id, since, w)
-          | _ -> None)
-      | _ -> None
+(* does this request ask to be parked? GET /v1/watch/<id>?wait=<s> *)
+let park_candidate ~meth ~target =
+  match parse_target target with
+  | _, query, Some [ "watch"; id ] when meth = "GET" && id <> "ingest" -> (
+      match Option.bind (List.assoc_opt "wait" query) float_of_string_opt with
+      | Some w when w > 0. ->
+          let since =
+            match Option.bind (List.assoc_opt "since" query) int_of_string_opt with
+            | Some n when n >= 0 -> n
+            | _ -> 0
+          in
+          Some (id, since, w)
+      | _ -> None)
+  | _ -> None
 
 (* true = the fd now belongs to the lot (the caller must not close it);
    false = answer immediately. The immediate path covers every refusal:
@@ -1434,7 +1367,7 @@ let handle_conn t ?pressure ~admitted_at fd =
           send_reject t fd 408 "timed out reading request"
       | exception Unix.Unix_error _ -> Metrics.incr t.sv_metrics "errors.io"
       | meth, target, headers, body -> (
-          (match park_candidate t ~meth ~target with
+          (match park_candidate ~meth ~target with
           | Some (sub, since, wait) when String.length body = 0 ->
               parked :=
                 try_park t ~fd ~pressure ~admitted_at ~sub ~since ~wait ~target ~headers
@@ -1664,13 +1597,23 @@ module Client = struct
         Buffer.add_string req "Connection: close\r\n\r\n";
         Buffer.add_string req payload;
         let req = Buffer.contents req in
-        write_all fd req 0 (String.length req);
+        (* a shedding server answers 503 and closes without reading the
+           request, so a refused write can still leave an answer queued:
+           read it, and re-raise the write error only if there is none *)
+        let write_error = ref None in
+        (try write_all fd req 0 (String.length req)
+         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) as e ->
+           write_error := Some e);
         (* parse the head region only — never split or copy the body
            along the way, and read it in 64 KiB chunks (the old client
            buffered 4 KiB at a time and then split the entire multi-MB
            response on '\n' to find the status line) *)
         let rb = recv_create 65536 in
-        let on_eof () = failwith "malformed HTTP response (no header terminator)" in
+        let on_eof () =
+          match !write_error with
+          | Some e -> raise e
+          | None -> failwith "malformed HTTP response (no header terminator)"
+        in
         let hdr_end =
           recv_head rb fd ~on_eof ~too_large:(fun () -> failwith "response headers too large")
         in

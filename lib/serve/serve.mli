@@ -12,29 +12,30 @@
       sockets (no external dependencies);
     - a concurrent accept loop on the existing {!Ds_util.Par} domain
       pool — one worker runs the listener, the rest handle connections;
-    - a warm {e in-memory hot index} (image → rendered surface document,
-      pair → rendered diff, object digest → rendered mismatch report)
-      hydrated lazily through the dataset's memo tables and the
-      {!Ds_store} persistent tier, so the first query for an artifact
-      pays the compile/extract cost once and every later query is a
-      string lookup;
-    - single-flight hydration: concurrent requests for the same uncached
-      artifact coalesce into one computation via {!Ds_util.Par.Memo};
-    - a {e response-byte cache} ({!Respcache}) in front of the hot
-      index: cacheable GETs ([/images], [/surface/...], [/diff/...])
-      are stored as fully serialized envelope+body bytes keyed by
-      (endpoint, normalized params, index generation), so a warm hit
-      skips Export → JSON → envelope entirely; every cacheable response
-      carries a strong [ETag] (content digest over the cached bytes)
+    - one cache per cacheable response, chosen by route:
+      {ul
+      {- the {e documents} — whole [/v1/surface/<image>] and
+         [/v1/diff/<a>/<b>] bodies, a finite set derived from the
+         dataset — live in per-kind memos ({!Ds_util.Par.Memo}) hydrated
+         lazily through the dataset's memo tables and the {!Ds_store}
+         persistent tier; each is rendered and ETag-hashed once;}
+      {- every other cacheable answer ([/v1/images], construct lookups,
+         [/v1/graph/...], [POST /v1/mismatch], [POST /v1/verify]) lives
+         only in the bounded {e response-byte cache} ({!Respcache}),
+         keyed by (endpoint, normalized params, body digest, generation),
+         so a warm hit skips Export → JSON → envelope entirely and client
+         input can never grow server memory past the LRU's caps.}}
+      Both tiers are single-flight: concurrent requests for the same
+      uncached answer coalesce into one computation. Every cacheable
+      response carries a strong [ETag] (content digest over the body)
       and an [x-depsurf-cache: hit|miss] header, and a matching
       [If-None-Match] answers [304 Not Modified] with an empty body;
     - per-endpoint metrics ({!Ds_util.Metrics}): request counters,
       error counters, cache hit/miss/evict counters, and latency
       histograms with p50/p95/p99.
 
-    Endpoints (canonically under [/v1/...]; the bare legacy paths are
-    kept as byte-identical aliases — both forms dispatch to the same
-    handler and share the same cached body):
+    Endpoints (all under [/v1/...]; an unprefixed path answers a 404
+    envelope pointing at its [/v1] spelling):
 
     - [GET /v1/healthz] — liveness + index occupancy;
     - [GET /v1/images] — every queryable image (study matrix + extra
@@ -68,7 +69,8 @@
       program is data, not an error: the response is 200 with
       [health: "degraded"]. Responses are cached (and [ETag]-tagged) by
       (image, body digest), so repeat posts of the same object hit the
-      response cache and [If-None-Match] answers 304;
+      response cache and [If-None-Match] answers 304 — and so are
+      [/v1/mismatch] answers, by (params, body digest);
     - [GET /v1/metrics] — counters, latency histograms, store counters,
       compile count and index sizes;
     - [GET /v1/trace/recent] — most recently finished tracing spans
@@ -106,11 +108,9 @@
     working byte-identically. Envelope validation failures answer a 400
     whose [diagnostics] list every problem.
 
-    {b Legacy sunset.} The unprefixed legacy aliases answer with
-    [Deprecation: true] and [Sunset] headers and count the
-    [http.legacy_hits] metric; with [create ~legacy:false]
-    ([depsurf serve --no-legacy-routes]) they answer 404 with a pointer
-    to the [/v1] spelling.
+    {b Unprefixed paths.} The unprefixed aliases of the [/v1] routes are
+    retired: any path outside [/v1] answers 404 with a pointer to the
+    [/v1] spelling, before either cache is consulted.
 
     Every JSON response is wrapped in the versioned {!Depsurf.Api}
     envelope [{v; health; data; diagnostics}]. Every response carries an
@@ -122,8 +122,9 @@
 open Ds_ksrc
 
 type t
-(** Server state: dataset + hot index + metrics. Independent of any
-    socket, so tests can drive {!handle_request} directly. *)
+(** Server state: dataset + document memos + response cache + metrics.
+    Independent of any socket, so tests can drive {!handle_request}
+    directly. *)
 
 type limits = {
   li_max_inflight : int;
@@ -147,7 +148,6 @@ val default_limits : unit -> limits
 val create :
   ?images_dir:string ->
   ?limits:limits ->
-  ?legacy:bool ->
   ds:Depsurf.Dataset.t ->
   pool:Ds_util.Par.pool ->
   unit ->
@@ -156,9 +156,7 @@ val create :
     every [vmlinux-*] file in the directory, keyed by file name, in
     addition to the study matrix. The pool must have at least 2 workers
     when used with {!start} (one runs the accept loop). [limits]
-    defaults to {!default_limits}. [legacy] (default [true]) keeps the
-    unprefixed legacy routes; [false] sunsets them (404 with a pointer
-    to [/v1]). *)
+    defaults to {!default_limits}. *)
 
 val watch : t -> Ds_watch.Watch.t
 (** The server's subscription registry / ingest engine (shares the
@@ -178,14 +176,16 @@ val admission : t -> Admission.t
     [/v1/metrics]. *)
 
 val generation : t -> int
-(** The current index generation, part of every response-cache key. *)
+(** The current generation, part of every response-cache key. *)
 
 val invalidate : t -> unit
-(** Bump the index generation: every cached response (and the ETag a
-    client may hold for it) stops matching, and the next request for
-    each key re-renders and re-caches. Index mutations must call this;
-    today nothing mutates the index after {!create}, so it is driven by
-    tests and future mutation endpoints. *)
+(** Bump the generation: every {!Respcache} response stops matching,
+    and the next request for each key re-renders and re-caches (the
+    ETag is a content digest, so it changes only if the bytes do).
+    The documents are pure functions of the dataset, which nothing
+    mutates after {!create}, so their memos are unaffected. Dataset
+    mutations must call this; today it is driven by tests and
+    {!revalidate_store}. *)
 
 val revalidate_store : t -> unit
 (** Compare the dataset store's persisted maintenance generation
@@ -194,7 +194,7 @@ val revalidate_store : t -> unit
     [depsurf cache clear]/[gc]/[verify] against a live server's cache
     directory), call {!invalidate} once so no response bytes keyed to
     the pre-maintenance store keep being served. No-op without a store.
-    Called automatically on the cacheable-GET path, throttled to at
+    Called automatically on the response-cache path, throttled to at
     most one generation-file read per second; exposed so tests (and
     maintenance run in-process) can trigger it deterministically. *)
 
@@ -215,7 +215,7 @@ val handle_request :
 (** Route and answer one request:
     [(status, content_type, headers, body)] where [headers] is the
     extra response headers (always including [x-depsurf-trace], plus
-    [ETag] and [x-depsurf-cache] on cacheable GETs). [?headers] is the
+    [ETag] and [x-depsurf-cache] on cacheable 200s). [?headers] is the
     request headers as [(lowercased-name, value)] pairs; a matching
     [if-none-match] turns a cacheable response into an empty-body 304.
     [?pressure:Degraded] stamps the response with

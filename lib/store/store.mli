@@ -30,6 +30,10 @@ module Hash : sig
 
   val hex : t -> string
   (** 32-hex-char digest of everything fed so far. *)
+
+  val digest : string -> string
+  (** One-shot digest of one string: the same value as [create],
+      [string] and [hex] in turn, without the incremental state. *)
 end
 
 (** The on-disk frame around each payload; exposed for property tests

@@ -31,10 +31,7 @@ type report = {
   rp_diags : Diag.t list;
 }
 
-let digest bytes =
-  let h = Ds_store.Store.Hash.create () in
-  Ds_store.Store.Hash.string h bytes;
-  Ds_store.Store.Hash.hex h
+let digest = Ds_store.Store.Hash.digest
 
 (* ---------------------------- findings ------------------------------- *)
 
@@ -298,17 +295,15 @@ let store_key ds ~image ~digest =
   Depsurf.Dataset.cache_key ds ~label:"verify"
     [ image; digest; "c" ^ string_of_int codec_version ]
 
-(* single flight across domains, keyed by the content-addressed store
-   key so distinct datasets/objects never collide *)
-let memo : (string, report) Par.Memo.t = Par.Memo.create 16
-
+(* no in-process table: object bytes come from clients, so a memo keyed
+   by them would grow for the life of a server; the store tier already
+   makes a warm re-verify decode-only *)
 let of_dataset ds v cfg bytes =
   let kernel = Depsurf.Dataset.vmlinux ds v cfg in
   let key = store_key ds ~image:(Vmlinux.tag kernel) ~digest:(digest bytes) in
-  Par.Memo.find_or_compute memo key (fun () ->
-      Ds_store.Store.memo (Depsurf.Dataset.store ds) ~ns ~key ~encode ~decode
-        ~cache_if:(fun r -> Diag.worst r.rp_diags <> Some Diag.Fatal)
-        (fun () -> verify_bytes ~kernel bytes))
+  Ds_store.Store.memo (Depsurf.Dataset.store ds) ~ns ~key ~encode ~decode
+    ~cache_if:(fun r -> Diag.worst r.rp_diags <> Some Diag.Fatal)
+    (fun () -> verify_bytes ~kernel bytes)
 
 (* ------------------------------- views ------------------------------- *)
 

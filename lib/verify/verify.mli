@@ -97,9 +97,10 @@ val store_key : Depsurf.Dataset.t -> image:string -> digest:string -> string
 val of_dataset :
   Depsurf.Dataset.t -> Ds_ksrc.Version.t -> Ds_ksrc.Config.t -> string -> report
 (** Verify object bytes against a study image's kernel, memoized
-    in-process and through the dataset's store keyed by (image tag,
-    object digest) — a warm re-verification decodes, it does not
-    re-verify. Reports whose object read was [Fatal] are not cached. *)
+    through the dataset's store keyed by (image tag, object digest) — a
+    warm re-verification decodes, it does not re-verify. There is no
+    in-process table: the bytes are client input. Reports whose object
+    read was [Fatal] are not cached. *)
 
 (** {2 Views} *)
 

@@ -154,7 +154,7 @@ let () =
          costs, then take the fd baseline *)
       List.iter
         (fun p -> ignore (Serve.Client.request (Serve.Unix_sock sock_path) ~meth:"GET" ~path:p))
-        [ "/healthz"; "/v1/metrics" ];
+        [ "/v1/healthz"; "/v1/metrics" ];
       let fd_before = Fdcount.count () in
       let scenarios = Chaos.generate ~seed scenario_count in
       Printf.printf "chaos: %d scenarios against %s (fd baseline %d)\n%!"
@@ -258,7 +258,7 @@ let () =
                  fail "watch chaos: %d connections still parked" (Serve.parked_count t)
            | _ -> fail "watch chaos: no subscription id in %S" sub_body));
       (* the server must still be alive and answering *)
-      (match Serve.Client.request (Serve.Unix_sock sock_path) ~meth:"GET" ~path:"/healthz" with
+      (match Serve.Client.request (Serve.Unix_sock sock_path) ~meth:"GET" ~path:"/v1/healthz" with
       | 200, _ -> ()
       | st, _ -> fail "healthz after chaos: %d" st
       | exception e -> fail "healthz after chaos: %s" (Printexc.to_string e));

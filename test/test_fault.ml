@@ -218,41 +218,36 @@ let test_degraded_matrix_marker () =
     (String.length degraded_report >= String.length clean_report)
 
 (* ------------------------------------------------------------------ *)
-(* Deprecated wrappers: thin, equivalent forwards to read ?mode        *)
+(* Lenient mode on damaged input                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* the *_lenient entrypoints are deprecated aliases of the unified
-   [read ~mode:`Lenient] API; until they are removed they must stay
-   byte-equivalent to it *)
-module Legacy = struct
-  [@@@ocaml.alert "-deprecated"]
-  [@@@ocaml.warning "-3"]
-
-  let test_wrappers_equivalent () =
-    let data = Lazy.force image_bytes in
-    let m = Faultgen.zero_range data ~pos:(String.length data / 2) ~len:512 in
-    let strings ds = List.map Diag.to_string ds in
-    let r = Elf.read_lenient m and u = Elf.read ~mode:`Lenient m in
-    Alcotest.(check (list string)) "elf diags" (strings (Diag.diags u)) (strings r.Elf.r_diags);
-    Alcotest.(check string) "elf image" (Elf.write (Diag.ok u)) (Elf.write r.Elf.r_elf);
-    let surface_json s = Json.to_string (Export.surface s) in
-    Alcotest.(check string) "surface"
-      (surface_json (Diag.ok (Surface.extract ~mode:`Lenient m)))
-      (surface_json (Surface.extract_lenient m));
-    let btf_bytes = "\x9f\xeb\x01\x00" in
-    let b = Ds_btf.Btf.decode_lenient btf_bytes
-    and ub = Ds_btf.Btf.decode ~mode:`Lenient btf_bytes in
-    Alcotest.(check (list string)) "btf diags"
-      (strings (Diag.diags ub)) (strings b.Ds_btf.Btf.b_diags);
-    let o = Ds_bpf.Obj.read_lenient "garbage"
-    and uo = Ds_bpf.Obj.read ~mode:`Lenient "garbage" in
-    Alcotest.(check (list string)) "obj diags"
-      (strings (Diag.diags uo)) (strings o.Ds_bpf.Obj.o_diags);
-    let cus, ds = Ds_dwarf.Info.decode_lenient ~info:"\x01" ~abbrev:"" in
-    let ud = Ds_dwarf.Info.decode ~mode:`Lenient ~info:"\x01" ~abbrev:"" () in
-    Alcotest.(check int) "dwarf cus" (List.length (Diag.ok ud)) (List.length cus);
-    Alcotest.(check (list string)) "dwarf diags" (strings (Diag.diags ud)) (strings ds)
-end
+(* what the retired *_lenient entrypoints were checked against, asserted
+   on [~mode:`Lenient] itself: damage becomes diagnostics, what parses is
+   kept, and the surface's health carries the ELF reader's findings *)
+let test_lenient_damaged_input () =
+  let data = Lazy.force image_bytes in
+  (* the first header bit flip the ELF reader survives with a loss *)
+  let m =
+    let rec go i =
+      if i >= 64 * 8 then Alcotest.fail "no degrading header flip"
+      else
+        let m = Faultgen.flip_bit data ~byte:(i / 8) ~bit:(i mod 8) in
+        match Faultgen.classify elf_health m with Faultgen.Degraded -> m | _ -> go (i + 1)
+    in
+    go 0
+  in
+  let strings ds = List.map Diag.to_string ds in
+  let elf = Elf.read ~mode:`Lenient m in
+  Alcotest.(check bool) "elf image re-encodes" true
+    (String.length (Elf.write (Diag.ok elf)) > 0);
+  let health = surface_health m in
+  let elf_diags = strings (Diag.diags elf) in
+  Alcotest.(check (list string)) "surface health starts with the elf diags" elf_diags
+    (List.filteri (fun i _ -> i < List.length elf_diags) (strings health));
+  Alcotest.(check bool) "btf stub diags" true (btf_health "\x9f\xeb\x01\x00" <> []);
+  let dwarf = Ds_dwarf.Info.decode ~mode:`Lenient ~info:"\x01" ~abbrev:"" () in
+  Alcotest.(check int) "dwarf stub: no cus" 0 (List.length (Diag.ok dwarf));
+  Alcotest.(check bool) "dwarf stub diags" true (Diag.diags dwarf <> [])
 
 let suites =
   [
@@ -273,7 +268,6 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_random_flip_no_crash;
         QCheck_alcotest.to_alcotest qcheck_random_truncation_no_crash;
         QCheck_alcotest.to_alcotest qcheck_garbage_input_fatal_not_crash;
-        Alcotest.test_case "deprecated wrappers forward" `Quick
-          Legacy.test_wrappers_equivalent;
+        Alcotest.test_case "lenient mode on damaged input" `Quick test_lenient_damaged_input;
       ] );
   ]

@@ -53,45 +53,45 @@ let test_image_names () =
 
 let test_routing () =
   with_server @@ fun t _ ->
-  let st, ct, body = get t "/healthz" in
+  let st, ct, body = get t "/v1/healthz" in
   Alcotest.(check int) "healthz status" 200 st;
   Alcotest.(check string) "healthz type" "application/json" ct;
   Alcotest.(check string) "healthz ok" "ok" (member_str "status" (payload body));
   (match Json.member "v" (Json.of_string body) with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "healthz must carry the v1 envelope version");
-  let st, _, _ = get t "/no/such/endpoint" in
+  let st, _, _ = get t "/v1/no/such/endpoint" in
   Alcotest.(check int) "unknown -> 404" 404 st;
-  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/images" ~body:"" in
+  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/v1/images" ~body:"" in
   Alcotest.(check int) "POST /images -> 405" 405 st;
-  let st, _, _ = get t "/mismatch" in
-  Alcotest.(check int) "GET /mismatch -> 405" 405 st;
-  let st, _, _ = get t "/surface/4.4-x86-generic?kind=func" in
+  let st, _, _ = get t "/v1/mismatch" in
+  Alcotest.(check int) "GET /v1/mismatch -> 405" 405 st;
+  let st, _, _ = get t "/v1/surface/4.4-x86-generic?kind=func" in
   Alcotest.(check int) "kind without name -> 400" 400 st;
-  let st, _, _ = get t "/surface/9.9-x86-generic" in
+  let st, _, _ = get t "/v1/surface/9.9-x86-generic" in
   Alcotest.(check int) "unknown image -> 404" 404 st;
-  let images = get t "/images" in
+  let images = get t "/v1/images" in
   let _, _, body = images in
   match Json.member "images" (payload body) with
   | Some (Json.List l) ->
       Alcotest.(check int) "25 study images" 25 (List.length l)
-  | _ -> Alcotest.fail "/images lacks an images list"
+  | _ -> Alcotest.fail "/v1/images lacks an images list"
 
 let test_surface_queries () =
   with_server @@ fun t _ ->
-  let st, _, body = get t "/surface/4.4-x86-generic" in
+  let st, _, body = get t "/v1/surface/4.4-x86-generic" in
   Alcotest.(check int) "surface status" 200 st;
   let j = Json.of_string body in
   Alcotest.(check string) "clean health" "clean" (member_str "health" j);
   Alcotest.(check string) "version field" "v4.4" (member_str "version" (payload body));
-  let st, _, body = get t "/surface/4.4-x86-generic?kind=func&name=vfs_fsync" in
+  let st, _, body = get t "/v1/surface/4.4-x86-generic?kind=func&name=vfs_fsync" in
   Alcotest.(check int) "filtered status" 200 st;
   let j = payload body in
   Alcotest.(check string) "filtered name" "vfs_fsync" (member_str "name" j);
   Alcotest.(check bool) "filtered entry present" true (Json.member "entry" j <> None);
-  let st, _, _ = get t "/surface/4.4-x86-generic?kind=func&name=no_such_fn_zzz" in
+  let st, _, _ = get t "/v1/surface/4.4-x86-generic?kind=func&name=no_such_fn_zzz" in
   Alcotest.(check int) "absent construct -> 404" 404 st;
-  let st, _, _ = get t "/surface/4.4-x86-generic?kind=gadget&name=x" in
+  let st, _, _ = get t "/v1/surface/4.4-x86-generic?kind=gadget&name=x" in
   Alcotest.(check int) "bad kind -> 400" 400 st
 
 (* ---- single-flight hydration ---------------------------------------- *)
@@ -99,7 +99,7 @@ let test_surface_queries () =
 let test_single_flight () =
   with_server @@ fun t pool ->
   let futures =
-    List.init 8 (fun _ -> Par.submit pool (fun () -> get t "/surface/4.8-x86-generic"))
+    List.init 8 (fun _ -> Par.submit pool (fun () -> get t "/v1/surface/4.8-x86-generic"))
   in
   let responses = List.map Par.await futures in
   List.iter (fun (st, _, body) -> Alcotest.(check int) ("all 200: " ^ body) 200 st) responses;
@@ -115,7 +115,7 @@ let test_single_flight () =
   (* a second wave is all index hits; ?trace=1 bypasses the response-byte
      cache, so this request must reach the hot index *)
   let hits0 = Metrics.counter m "index.hit.surface" in
-  let _ = get t "/surface/4.8-x86-generic?trace=1" in
+  let _ = get t "/v1/surface/4.8-x86-generic?trace=1" in
   Alcotest.(check int) "warm hit" (hits0 + 1) (Metrics.counter m "index.hit.surface");
   Alcotest.(check int) "still one fill" 1 (Metrics.counter m "index.fill.surface")
 
@@ -129,18 +129,18 @@ let test_mismatch_identity () =
   let obj = corpus_obj "biotop" in
   let bytes = Ds_bpf.Obj.write obj in
   with_server @@ fun t _ ->
-  let st, ct, _, body = Serve.handle_request t ~meth:"POST" ~target:"/mismatch" ~body:bytes in
+  let st, ct, _, body = Serve.handle_request t ~meth:"POST" ~target:"/v1/mismatch" ~body:bytes in
   Alcotest.(check int) "mismatch status" 200 st;
   Alcotest.(check string) "mismatch type" "text/plain" ct;
   let expected = Report.render_matrix (Pipeline.analyze (Lazy.force ds) obj) in
   Alcotest.(check string) "byte-identical to the CLI report" expected body;
-  let _ = Serve.handle_request t ~meth:"POST" ~target:"/mismatch" ~body:bytes in
+  let _ = Serve.handle_request t ~meth:"POST" ~target:"/v1/mismatch" ~body:bytes in
   let m = Serve.metrics t in
   Alcotest.(check int) "report rendered once" 1 (Metrics.counter m "compute.mismatch");
-  Alcotest.(check int) "second POST hits the index" 1 (Metrics.counter m "index.hit.mismatch");
-  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/mismatch" ~body:"garbage" in
+  Alcotest.(check int) "second POST is a cache hit" 1 (Metrics.counter m "cache.hit");
+  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/v1/mismatch" ~body:"garbage" in
   Alcotest.(check int) "garbage -> 400" 400 st;
-  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/mismatch" ~body:"" in
+  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/v1/mismatch" ~body:"" in
   Alcotest.(check int) "empty -> 400" 400 st
 
 (* ---- /verify -------------------------------------------------------- *)
@@ -150,7 +150,7 @@ let test_verify_endpoint () =
   let bytes = Ds_bpf.Obj.write obj in
   with_server @@ fun t _ ->
   let st, ct, hdrs, body =
-    Serve.handle_request t ~meth:"POST" ~target:"/verify" ~body:bytes
+    Serve.handle_request t ~meth:"POST" ~target:"/v1/verify" ~body:bytes
   in
   Alcotest.(check int) "verify status" 200 st;
   Alcotest.(check string) "verify type" "application/json" ct;
@@ -168,7 +168,7 @@ let test_verify_endpoint () =
   (* a repeat POST of the same digest is a cache hit with a matching ETag *)
   let m = Serve.metrics t in
   let st2, _, hdrs2, body2 =
-    Serve.handle_request t ~meth:"POST" ~target:"/verify" ~body:bytes
+    Serve.handle_request t ~meth:"POST" ~target:"/v1/verify" ~body:bytes
   in
   Alcotest.(check int) "repeat status" 200 st2;
   Alcotest.(check bool) "repeat body identical" true (body = body2);
@@ -180,7 +180,7 @@ let test_verify_endpoint () =
   let st3, _, _, body3 =
     Serve.handle_request t
       ~headers:[ ("if-none-match", etag) ]
-      ~meth:"POST" ~target:"/verify" ~body:bytes
+      ~meth:"POST" ~target:"/v1/verify" ~body:bytes
   in
   Alcotest.(check int) "if-none-match -> 304" 304 st3;
   Alcotest.(check string) "304 empty body" "" body3;
@@ -204,7 +204,7 @@ let test_verify_endpoint () =
     in
     Ds_bpf.Obj.write { obj with Ds_bpf.Obj.o_name = "sabotaged"; o_progs = [ prog ] }
   in
-  let st, _, _, body = Serve.handle_request t ~meth:"POST" ~target:"/verify" ~body:sabotage in
+  let st, _, _, body = Serve.handle_request t ~meth:"POST" ~target:"/v1/verify" ~body:sabotage in
   Alcotest.(check int) "rejected object is 200" 200 st;
   Alcotest.(check string) "health degraded" "degraded"
     (member_str "health" (Json.of_string body));
@@ -212,22 +212,22 @@ let test_verify_endpoint () =
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "rejected count missing");
   (* parameter validation *)
-  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/verify" ~body:"" in
+  let st, _, _, _ = Serve.handle_request t ~meth:"POST" ~target:"/v1/verify" ~body:"" in
   Alcotest.(check int) "empty body -> 400" 400 st;
   let st, _, _, _ =
-    Serve.handle_request t ~meth:"POST" ~target:"/verify?image=9.9-x86-generic" ~body:bytes
+    Serve.handle_request t ~meth:"POST" ~target:"/v1/verify?image=9.9-x86-generic" ~body:bytes
   in
   Alcotest.(check int) "unknown image -> 400" 400 st;
-  let st, _, _, _ = Serve.handle_request t ~meth:"GET" ~target:"/verify" ~body:"" in
-  Alcotest.(check int) "GET /verify -> 405" 405 st
+  let st, _, _, _ = Serve.handle_request t ~meth:"GET" ~target:"/v1/verify" ~body:"" in
+  Alcotest.(check int) "GET /v1/verify -> 405" 405 st
 
 (* ---- /metrics ------------------------------------------------------- *)
 
 let test_metrics_document () =
   with_server @@ fun t _ ->
-  let _ = get t "/healthz" in
-  let _ = get t "/diff/4.4-x86-generic/5.4-x86-generic" in
-  let st, _, body = get t "/metrics" in
+  let _ = get t "/v1/healthz" in
+  let _ = get t "/v1/diff/4.4-x86-generic/5.4-x86-generic" in
+  let st, _, body = get t "/v1/metrics" in
   Alcotest.(check int) "metrics status" 200 st;
   let j = payload body in
   (match Json.member "requests_total" j with
@@ -257,12 +257,12 @@ let test_unix_socket_roundtrip () =
       Serve.stop h;
       Serve.stop h (* idempotent *))
     (fun () ->
-      let st, body = Serve.Client.request addr ~meth:"GET" ~path:"/healthz" in
+      let st, body = Serve.Client.request addr ~meth:"GET" ~path:"/v1/healthz" in
       Alcotest.(check int) "healthz over unix socket" 200 st;
       Alcotest.(check string) "status ok" "ok" (member_str "status" (Api.data (Json.of_string body)));
       (* several sequential clients on fresh connections *)
       for _ = 1 to 5 do
-        let st, _ = Serve.Client.request addr ~meth:"GET" ~path:"/images" in
+        let st, _ = Serve.Client.request addr ~meth:"GET" ~path:"/v1/images" in
         Alcotest.(check int) "images over unix socket" 200 st
       done);
   Alcotest.(check bool) "socket unlinked on stop" false (Sys.file_exists path)
@@ -277,7 +277,7 @@ let test_tcp_roundtrip () =
       (match addr with
       | Serve.Tcp (_, port) -> Alcotest.(check bool) "kernel-chosen port" true (port > 0)
       | _ -> Alcotest.fail "expected a TCP bound address");
-      let st, _ = Serve.Client.request addr ~meth:"GET" ~path:"/healthz" in
+      let st, _ = Serve.Client.request addr ~meth:"GET" ~path:"/v1/healthz" in
       Alcotest.(check int) "healthz over tcp" 200 st)
 
 (* golden pin of the server-side header parser's legacy-lenient behavior:
@@ -317,16 +317,16 @@ let test_raw_header_parsing () =
         Scanf.sscanf r "HTTP/1.1 %d" (fun s -> s)
       in
       (* CRLF request *)
-      let r = raw_roundtrip addr "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" in
+      let r = raw_roundtrip addr "GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n" in
       Alcotest.(check int) "crlf request" 200 (status r);
       (* bare-LF line endings inside the head are accepted (legacy
          leniency: lines split on '\n', '\r' optional) as long as the
          head ends with the usual blank line *)
-      let r = raw_roundtrip addr "GET /healthz HTTP/1.1\nHost: x\r\n\r\n" in
+      let r = raw_roundtrip addr "GET /v1/healthz HTTP/1.1\nHost: x\r\n\r\n" in
       Alcotest.(check int) "bare-lf request line" 200 (status r);
       (* mixed-case names and padded values still parse: grab an etag,
          then send the validator back with odd casing and spacing *)
-      let r = raw_roundtrip addr "GET /images HTTP/1.1\r\nHost: x\r\n\r\n" in
+      let r = raw_roundtrip addr "GET /v1/images HTTP/1.1\r\nHost: x\r\n\r\n" in
       let etag =
         let tag_at i =
           let j = String.index_from r (i + 6) '"' in
@@ -338,11 +338,11 @@ let test_raw_header_parsing () =
       in
       let r =
         raw_roundtrip addr
-          ("GET /images HTTP/1.1\r\nHost: x\r\nIF-NONE-MATCH:   " ^ etag ^ "  \r\n\r\n")
+          ("GET /v1/images HTTP/1.1\r\nHost: x\r\nIF-NONE-MATCH:   " ^ etag ^ "  \r\n\r\n")
       in
       Alcotest.(check int) "case+padding conditional" 304 (status r);
       (* a headerless value after the colon is the empty string, not a crash *)
-      let r = raw_roundtrip addr "GET /healthz HTTP/1.1\r\nX-Empty:\r\n\r\n" in
+      let r = raw_roundtrip addr "GET /v1/healthz HTTP/1.1\r\nX-Empty:\r\n\r\n" in
       Alcotest.(check int) "empty header value" 200 (status r);
       (* missing request-line spaces are a 400, connection still answered *)
       let r = raw_roundtrip addr "GARBAGE\r\n\r\n" in
@@ -382,7 +382,7 @@ let test_degraded_file_image_is_200 () =
   output_string oc (degraded_image_bytes ());
   close_out oc;
   with_server ~images_dir:dir @@ fun t _ ->
-  let st, _, body = get t "/images" in
+  let st, _, body = get t "/v1/images" in
   Alcotest.(check int) "images status" 200 st;
   Alcotest.(check bool) "file image listed" true
     (let rec mem = function
@@ -394,7 +394,7 @@ let test_degraded_file_image_is_200 () =
      match Json.member "images" (payload body) with
      | Some (Json.List l) -> mem l
      | _ -> false);
-  let st, _, body = get t "/surface/vmlinux-broken" in
+  let st, _, body = get t "/v1/surface/vmlinux-broken" in
   Alcotest.(check int) "degraded image answers 200" 200 st;
   let j = Json.of_string body in
   Alcotest.(check string) "health degraded" "degraded" (member_str "health" j);
@@ -407,41 +407,50 @@ let test_degraded_file_image_is_200 () =
 let cache_state hdrs = List.assoc_opt "x-depsurf-cache" hdrs
 let etag_of hdrs = List.assoc_opt "ETag" hdrs
 
-let test_response_cache_hit_identity () =
-  with_server @@ fun t _ ->
-  let st1, ct1, h1, b1 = get4 t "/surface/4.4-x86-generic" in
-  Alcotest.(check int) "first 200" 200 st1;
-  Alcotest.(check (option string)) "first is a miss" (Some "miss") (cache_state h1);
-  let st2, ct2, h2, b2 = get4 t "/surface/4.4-x86-generic" in
-  Alcotest.(check (option string)) "second is a hit" (Some "hit") (cache_state h2);
-  (* the cached response must be byte-identical to the rendered one *)
-  Alcotest.(check int) "same status" st1 st2;
-  Alcotest.(check string) "same content-type" ct1 ct2;
-  Alcotest.(check string) "same body bytes" b1 b2;
-  Alcotest.(check bool) "stable etag" true (etag_of h1 <> None && etag_of h1 = etag_of h2);
-  (* the v1 alias shares the cache entry (same key after prefix strip) *)
-  let _, _, h3, b3 = get4 t "/v1/surface/4.4-x86-generic" in
-  Alcotest.(check (option string)) "alias hits the same entry" (Some "hit") (cache_state h3);
-  Alcotest.(check string) "alias body identical" b1 b3;
-  let m = Serve.metrics t in
-  Alcotest.(check bool) "miss counted" true (Metrics.counter m "cache.miss" >= 1);
-  Alcotest.(check bool) "hits counted" true (Metrics.counter m "cache.hit" >= 2);
-  (* counters and occupancy are visible in /metrics *)
-  let _, _, body = get t "/metrics" in
+let response_cache_stats t =
+  let _, _, body = get t "/v1/metrics" in
   match Json.member "response_cache" (payload body) with
   | Some (Json.Obj fields) -> (
-      match List.assoc_opt "entries" fields with
-      | Some (Json.Int n) -> Alcotest.(check bool) "entries > 0" true (n > 0)
-      | _ -> Alcotest.fail "response_cache lacks entries")
-  | _ -> Alcotest.fail "/metrics lacks response_cache"
+      match (List.assoc_opt "entries" fields, List.assoc_opt "bytes" fields) with
+      | Some (Json.Int n), Some (Json.Int b) -> (n, b)
+      | _ -> Alcotest.fail "response_cache lacks entries/bytes")
+  | _ -> Alcotest.fail "/v1/metrics lacks response_cache"
+
+(* one cache per response: a whole surface comes from its document memo
+   and never enters the response cache; /v1/images lives only there.
+   Either way the second answer is a byte-identical hit with the same
+   ETag. *)
+let test_response_cache_hit_identity () =
+  with_server @@ fun t _ ->
+  let m = Serve.metrics t in
+  let check_identity target =
+    let st1, ct1, h1, b1 = get4 t target in
+    Alcotest.(check int) (target ^ " first 200") 200 st1;
+    Alcotest.(check (option string)) (target ^ " first is a miss") (Some "miss") (cache_state h1);
+    let st2, ct2, h2, b2 = get4 t target in
+    Alcotest.(check (option string)) (target ^ " second is a hit") (Some "hit") (cache_state h2);
+    Alcotest.(check int) "same status" st1 st2;
+    Alcotest.(check string) "same content-type" ct1 ct2;
+    Alcotest.(check string) "same body bytes" b1 b2;
+    Alcotest.(check bool) "stable etag" true (etag_of h1 <> None && etag_of h1 = etag_of h2)
+  in
+  check_identity "/v1/surface/4.4-x86-generic";
+  Alcotest.(check (pair int int)) "documents stay out of the response cache" (0, 0)
+    (response_cache_stats t);
+  Alcotest.(check int) "no response-cache lookups for documents" 0
+    (Metrics.counter m "cache.hit" + Metrics.counter m "cache.miss");
+  check_identity "/v1/images";
+  Alcotest.(check int) "one response-cache entry" 1 (fst (response_cache_stats t));
+  Alcotest.(check int) "miss counted" 1 (Metrics.counter m "cache.miss");
+  Alcotest.(check int) "hit counted" 1 (Metrics.counter m "cache.hit")
 
 let test_conditional_requests () =
   with_server @@ fun t _ ->
-  let _, _, h1, _ = get4 t "/images" in
+  let _, _, h1, _ = get4 t "/v1/images" in
   let etag = match etag_of h1 with Some e -> e | None -> Alcotest.fail "no ETag" in
   (* matching If-None-Match: 304, empty body, ETag still present *)
   let st, _, h, body =
-    Serve.handle_request t ~headers:[ ("if-none-match", etag) ] ~meth:"GET" ~target:"/images"
+    Serve.handle_request t ~headers:[ ("if-none-match", etag) ] ~meth:"GET" ~target:"/v1/images"
       ~body:""
   in
   Alcotest.(check int) "if-none-match -> 304" 304 st;
@@ -451,11 +460,11 @@ let test_conditional_requests () =
   let st, _, _, _ =
     Serve.handle_request t
       ~headers:[ ("if-none-match", "\"deadbeef\", " ^ etag) ]
-      ~meth:"GET" ~target:"/images" ~body:""
+      ~meth:"GET" ~target:"/v1/images" ~body:""
   in
   Alcotest.(check int) "etag list -> 304" 304 st;
   let st, _, _, _ =
-    Serve.handle_request t ~headers:[ ("if-none-match", "*") ] ~meth:"GET" ~target:"/images"
+    Serve.handle_request t ~headers:[ ("if-none-match", "*") ] ~meth:"GET" ~target:"/v1/images"
       ~body:""
   in
   Alcotest.(check int) "star -> 304" 304 st;
@@ -463,7 +472,7 @@ let test_conditional_requests () =
   let st, _, _, body =
     Serve.handle_request t
       ~headers:[ ("if-none-match", "\"deadbeef\"") ]
-      ~meth:"GET" ~target:"/images" ~body:""
+      ~meth:"GET" ~target:"/v1/images" ~body:""
   in
   Alcotest.(check int) "stale etag -> 200" 200 st;
   Alcotest.(check bool) "stale etag gets a body" true (String.length body > 0);
@@ -472,14 +481,14 @@ let test_conditional_requests () =
 
 let test_generation_invalidates () =
   with_server @@ fun t _ ->
-  let _, _, h1, b1 = get4 t "/images" in
+  let _, _, h1, b1 = get4 t "/v1/images" in
   Alcotest.(check (option string)) "cold miss" (Some "miss") (cache_state h1);
-  let _, _, h2, _ = get4 t "/images" in
+  let _, _, h2, _ = get4 t "/v1/images" in
   Alcotest.(check (option string)) "warm hit" (Some "hit") (cache_state h2);
   let gen0 = Serve.generation t in
   Serve.invalidate t;
   Alcotest.(check int) "generation bumped" (gen0 + 1) (Serve.generation t);
-  let _, _, h3, b3 = get4 t "/images" in
+  let _, _, h3, b3 = get4 t "/v1/images" in
   Alcotest.(check (option string)) "invalidated -> miss" (Some "miss") (cache_state h3);
   (* the index itself did not change, so the re-rendered bytes — and
      therefore the content-digest ETag — are unchanged *)
@@ -489,17 +498,17 @@ let test_generation_invalidates () =
 let test_cache_scope () =
   with_server @@ fun t _ ->
   (* dynamic endpoints are never cached *)
-  let _, _, h, _ = get4 t "/healthz" in
+  let _, _, h, _ = get4 t "/v1/healthz" in
   Alcotest.(check (option string)) "healthz uncached" None (cache_state h);
-  let _, _, h, _ = get4 t "/metrics" in
+  let _, _, h, _ = get4 t "/v1/metrics" in
   Alcotest.(check (option string)) "metrics uncached" None (cache_state h);
   (* ?trace=1 bypasses the cache: the trace member is per-request *)
-  let _, _, h, _ = get4 t "/images?trace=1" in
+  let _, _, h, _ = get4 t "/v1/images?trace=1" in
   Alcotest.(check (option string)) "trace=1 uncached" None (cache_state h);
   (* errors are not cached either *)
-  let _, _, h, _ = get4 t "/surface/9.9-x86-generic" in
+  let _, _, h, _ = get4 t "/v1/surface/9.9-x86-generic" in
   let first = cache_state h in
-  let _, _, h, _ = get4 t "/surface/9.9-x86-generic" in
+  let _, _, h, _ = get4 t "/v1/surface/9.9-x86-generic" in
   Alcotest.(check bool) "404 never served from cache" true
     (first <> Some "hit" && cache_state h <> Some "hit")
 
@@ -586,6 +595,23 @@ let test_graph_endpoints () =
   let st, _, _ = get t "/v1/graph/deps/vfs_fsync?image=9.9-x86-generic" in
   Alcotest.(check int) "unknown image -> 404" 404 st
 
+(* concurrent identical blast queries coalesce into one render *)
+let test_blast_single_flight () =
+  with_server @@ fun t _ ->
+  let target = "/v1/graph/blast/blk_account_io_start?release=5.8" in
+  let clients = List.init 8 (fun _ -> Domain.spawn (fun () -> get t target)) in
+  let responses = List.map Domain.join clients in
+  let _, _, first = List.hd responses in
+  List.iter
+    (fun (st, _, body) ->
+      Alcotest.(check int) "200" 200 st;
+      Alcotest.(check bool) "identical bodies" true (body = first))
+    responses;
+  let m = Serve.metrics t in
+  Alcotest.(check int) "one blast render" 1 (Metrics.counter m "compute.blast");
+  Alcotest.(check int) "every request went through the response cache" 8
+    (Metrics.counter m "cache.hit" + Metrics.counter m "cache.miss")
+
 let test_graph_blast_endpoint () =
   with_server @@ fun t _ ->
   let st, _, _ = get t "/v1/graph/blast/blk_account_io_start" in
@@ -608,7 +634,7 @@ let test_graph_blast_endpoint () =
              | _ -> false)
            l)
   | _ -> Alcotest.fail "blast lacks an affected list");
-  (* rendered once, then served from the hot index / response cache *)
+  (* rendered once, then served from the response cache *)
   let _ = get t "/v1/graph/blast/blk_account_io_start?release=5.8" in
   let m = Serve.metrics t in
   Alcotest.(check int) "one blast compute" 1 (Metrics.counter m "compute.blast")
@@ -625,9 +651,9 @@ let test_store_revalidation () =
   let ds' = Dataset.build ~seed:Testenv.seed ~store Calibration.test_scale in
   Par.run ~jobs:4 @@ fun pool ->
   let t = Serve.create ~ds:ds' ~pool () in
-  let _, _, h, b1 = get4 t "/images" in
+  let _, _, h, b1 = get4 t "/v1/images" in
   Alcotest.(check (option string)) "cold miss" (Some "miss") (cache_state h);
-  let _, _, h, _ = get4 t "/images" in
+  let _, _, h, _ = get4 t "/v1/images" in
   Alcotest.(check (option string)) "warm hit" (Some "hit") (cache_state h);
   (* no maintenance happened: revalidation is a no-op *)
   let gen0 = Serve.generation t in
@@ -639,7 +665,7 @@ let test_store_revalidation () =
   Alcotest.(check int) "maintenance bumps the generation" (gen0 + 1) (Serve.generation t);
   let m = Serve.metrics t in
   Alcotest.(check int) "invalidation counted" 1 (Metrics.counter m "cache.store_invalidate");
-  let _, _, h, b2 = get4 t "/images" in
+  let _, _, h, b2 = get4 t "/v1/images" in
   Alcotest.(check (option string)) "cached bytes dropped" (Some "miss") (cache_state h);
   Alcotest.(check string) "re-rendered body identical" b1 b2;
   (* the generation is sticky: a second revalidation sees the new value *)
@@ -648,42 +674,15 @@ let test_store_revalidation () =
 
 (* ---- v1 envelope, aliases, tracing ---------------------------------- *)
 
-(* the /v1 prefix is the canonical spelling; the unprefixed legacy routes
-   must answer byte-for-byte identically (golden aliasing contract) *)
-let test_v1_aliases_byte_identical () =
-  with_server @@ fun t _ ->
-  List.iter
-    (fun path ->
-      let st_l, ct_l, body_l = get t path
-      and st_v, ct_v, body_v = get t ("/v1" ^ path) in
-      Alcotest.(check int) ("status " ^ path) st_l st_v;
-      Alcotest.(check string) ("ctype " ^ path) ct_l ct_v;
-      Alcotest.(check string) ("body " ^ path) body_l body_v)
-    [
-      "/healthz";
-      "/images";
-      "/surface/4.4-x86-generic";
-      "/surface/4.4-x86-generic?kind=func&name=vfs_fsync";
-      "/diff/4.4-x86-generic/5.4-x86-generic";
-      "/graph/deps/vfs_fsync";
-      "/graph/rdeps/func:vfs_fsync?transitive=1";
-      "/no/such/endpoint";
-    ];
-  (* /metrics moves between two requests (counters, latency), so only the
-     status and shape are comparable, not the bytes *)
-  let st_l, ct_l, _ = get t "/metrics" and st_v, ct_v, _ = get t "/v1/metrics" in
-  Alcotest.(check int) "metrics status" st_l st_v;
-  Alcotest.(check string) "metrics ctype" ct_l ct_v
-
 let test_trace_header_and_recent () =
   with_server @@ fun t _ ->
-  let _, _, hdrs, _ = get4 t "/healthz" in
+  let _, _, hdrs, _ = get4 t "/v1/healthz" in
   (match List.assoc_opt "x-depsurf-trace" hdrs with
   | Some id -> Alcotest.(check bool) "span id positive" true (int_of_string id > 0)
   | None -> Alcotest.fail "response lacks x-depsurf-trace");
   (* ids must differ between requests *)
-  let _, _, h1, _ = get4 t "/images" in
-  let _, _, h2, _ = get4 t "/images" in
+  let _, _, h1, _ = get4 t "/v1/images" in
+  let _, _, h2, _ = get4 t "/v1/images" in
   Alcotest.(check bool) "fresh span per request" true
     (List.assoc_opt "x-depsurf-trace" h1 <> List.assoc_opt "x-depsurf-trace" h2);
   let st, _, body = get t "/v1/trace/recent" in
@@ -707,7 +706,7 @@ let test_trace_header_and_recent () =
 
 let test_trace_inline_query () =
   with_server @@ fun t _ ->
-  let st, _, body = get t "/healthz?trace=1" in
+  let st, _, body = get t "/v1/healthz?trace=1" in
   Alcotest.(check int) "traced healthz 200" 200 st;
   match Json.member "trace" (Json.of_string body) with
   | Some (Json.List (_ :: _)) -> ()
@@ -841,12 +840,12 @@ let test_shed_under_overload () =
 let test_degraded_pressure_header () =
   with_server @@ fun t _ ->
   let _, _, hdrs, _ =
-    Serve.handle_request t ~pressure:Diag.Degraded ~meth:"GET" ~target:"/healthz" ~body:""
+    Serve.handle_request t ~pressure:Diag.Degraded ~meth:"GET" ~target:"/v1/healthz" ~body:""
   in
   Alcotest.(check (option string))
     "pressure header" (Some "degraded")
     (List.assoc_opt "x-depsurf-pressure" hdrs);
-  let _, _, hdrs, _ = get4 t "/healthz" in
+  let _, _, hdrs, _ = get4 t "/v1/healthz" in
   Alcotest.(check (option string)) "no header without pressure" None
     (List.assoc_opt "x-depsurf-pressure" hdrs)
 
@@ -854,7 +853,7 @@ let test_degraded_pressure_header () =
    and not a 500 *)
 let test_deadline_expiry_503 () =
   with_limited_server (mk_limits ~handle_s:1e-9 ()) @@ fun t _ ->
-  let st, _, hdrs, body = get4 t "/surface/4.4-x86-generic" in
+  let st, _, hdrs, body = get4 t "/v1/surface/4.4-x86-generic" in
   Alcotest.(check int) "deadline -> 503" 503 st;
   Alcotest.(check bool) "retry-after present" true
     (List.assoc_opt "Retry-After" hdrs <> None);
@@ -877,7 +876,7 @@ let test_stalled_client_408 () =
   Fun.protect
     ~finally:(fun () -> Serve.stop h)
     (fun () ->
-      let r = raw_roundtrip (Serve.Unix_sock path) "GET /heal" in
+      let r = raw_roundtrip (Serve.Unix_sock path) "GET /v1/heal" in
       let st = try Scanf.sscanf r "HTTP/1.1 %d" Fun.id with _ -> -1 in
       Alcotest.(check int) "stall -> 408" 408 st;
       Alcotest.(check bool) "timeout metric" true
@@ -894,7 +893,7 @@ let test_oversized_requests_rejected () =
     (fun () ->
       let status r = try Scanf.sscanf r "HTTP/1.1 %d" Fun.id with _ -> -1 in
       let big =
-        "GET /healthz HTTP/1.1\r\nX-Pad: " ^ String.make 70_000 'a' ^ "\r\n\r\n"
+        "GET /v1/healthz HTTP/1.1\r\nX-Pad: " ^ String.make 70_000 'a' ^ "\r\n\r\n"
       in
       Alcotest.(check int) "oversized head -> 431" 431
         (status (raw_roundtrip (Serve.Unix_sock path) big));
@@ -917,7 +916,7 @@ let test_drain_zero_dropped () =
       Serve.stop h)
     (fun () ->
       Unix.connect fd (Unix.ADDR_UNIX path);
-      let part = "GET /healthz HTTP/1.1\r\nHost: x" in
+      let part = "GET /v1/healthz HTTP/1.1\r\nHost: x" in
       ignore (Unix.write_substring fd part 0 (String.length part));
       (* wait until the connection holds its admission slot *)
       let deadline = Unix.gettimeofday () +. 5. in
@@ -971,7 +970,7 @@ let test_client_retry () =
     ~finally:(fun () -> Serve.stop h)
     (fun () ->
       let st, _, _ =
-        Serve.Client.request_retry (Serve.Unix_sock path) ~meth:"GET" ~path:"/healthz"
+        Serve.Client.request_retry (Serve.Unix_sock path) ~meth:"GET" ~path:"/v1/healthz"
       in
       Alcotest.(check int) "request_retry 200" 200 st);
   (* a dead address exhausts its retries and re-raises *)
@@ -979,7 +978,7 @@ let test_client_retry () =
   (match
      Serve.Client.request_retry ~retries:2 ~base_ms:5. ~cap_ms:20.
        (Serve.Unix_sock (path ^ ".gone"))
-       ~meth:"GET" ~path:"/healthz"
+       ~meth:"GET" ~path:"/v1/healthz"
    with
   | _ -> Alcotest.fail "request to a dead socket must raise"
   | exception Unix.Unix_error _ -> ());
@@ -1124,43 +1123,102 @@ let test_error_envelope_uniform () =
       ("PATCH", "/v1/watch/ingest");
     ]
 
-let test_legacy_sunset_headers () =
+(* the unprefixed aliases are retired: every spelling outside /v1
+   answers the 404 pointer, also right after its /v1 twin was cached *)
+let test_unprefixed_routes_404 () =
   with_server @@ fun t _ ->
-  let _, _, headers, _ = Serve.handle_request t ~meth:"GET" ~target:"/healthz" ~body:"" in
-  Alcotest.(check (option string)) "deprecation header" (Some "true")
-    (List.assoc_opt "Deprecation" headers);
-  Alcotest.(check bool) "sunset header" true (List.assoc_opt "Sunset" headers <> None);
-  let _, _, headers, _ = Serve.handle_request t ~meth:"GET" ~target:"/v1/healthz" ~body:"" in
-  Alcotest.(check (option string)) "no deprecation on /v1" None
-    (List.assoc_opt "Deprecation" headers);
-  let before = Metrics.counter (Serve.metrics t) "http.legacy_hits" in
-  let _ = get t "/images" in
-  let _ = get t "/v1/images" in
-  Alcotest.(check int) "legacy counter counts only legacy" (before + 1)
-    (Metrics.counter (Serve.metrics t) "http.legacy_hits")
+  let points_at_v1 path body =
+    match Json.member "data" (Json.of_string body) with
+    | Some (Json.Obj fields) -> (
+        match List.assoc_opt "error" fields with
+        | Some (Json.String m) ->
+            let path = match Ds_util.Strutil.cut ~on:'?' path with Some (p, _) -> p | None -> path in
+            Ds_util.Strutil.find_sub m ~sub:("/v1" ^ path) <> None
+        | _ -> false)
+    | _ -> false
+  in
+  List.iter
+    (fun (meth, path) ->
+      (* answer (and cache, where cacheable) the /v1 twin first *)
+      ignore (Serve.handle_request t ~meth ~target:("/v1" ^ path) ~body:"");
+      let st, ct, hdrs, body = Serve.handle_request t ~meth ~target:path ~body:"" in
+      Alcotest.(check int) (path ^ " -> 404") 404 st;
+      Alcotest.(check string) (path ^ " json") "application/json" ct;
+      Alcotest.(check bool) (path ^ " points at /v1") true (points_at_v1 path body);
+      Alcotest.(check (option string)) (path ^ " uncached") None (cache_state hdrs))
+    [
+      ("GET", "/healthz");
+      ("GET", "/images");
+      ("GET", "/surface/4.4-x86-generic");
+      ("GET", "/surface/4.4-x86-generic?kind=func&name=vfs_fsync");
+      ("GET", "/diff/4.4-x86-generic/5.4-x86-generic");
+      ("GET", "/graph/deps/vfs_fsync");
+      ("GET", "/graph/rdeps/func:vfs_fsync?transitive=1");
+      ("GET", "/metrics");
+      ("GET", "/trace/recent");
+      ("GET", "/subscriptions");
+      ("POST", "/mismatch");
+      ("POST", "/verify");
+      ("GET", "/no/such");
+    ]
 
-let test_no_legacy_routes () =
-  Par.run ~jobs:4 @@ fun pool ->
-  let t = Serve.create ~legacy:false ~ds:(Lazy.force ds) ~pool () in
-  let st, _, _, body = Serve.handle_request t ~meth:"GET" ~target:"/healthz" ~body:"" in
-  Alcotest.(check int) "legacy 404" 404 st;
-  Alcotest.(check bool) "404 points at /v1" true
-    (let j = Json.of_string body in
-     match Json.member "data" j with
-     | Some (Json.Obj fields) -> (
-         match List.assoc_opt "error" fields with
-         | Some (Json.String m) ->
-             Ds_util.Strutil.find_sub m ~sub:"/v1/healthz" <> None
-         | _ -> false)
-     | _ -> false);
-  let st, _, _, _ = Serve.handle_request t ~meth:"GET" ~target:"/v1/healthz" ~body:"" in
-  Alcotest.(check int) "/v1 still answers" 200 st;
-  (* the shared response cache must not leak a /v1 body onto a disabled
-     legacy spelling *)
-  let st, _, _, _ = Serve.handle_request t ~meth:"GET" ~target:"/v1/images" ~body:"" in
-  Alcotest.(check int) "prime /v1/images" 200 st;
-  let st, _, _, _ = Serve.handle_request t ~meth:"GET" ~target:"/images" ~body:"" in
-  Alcotest.(check int) "legacy images still 404" 404 st
+(* Client-keyed answers are bounded by the response cache: after two
+   equal rounds of distinct objects, together well over its 512 entries,
+   the heap grew by no more than the cache's own occupancy change (plus a
+   quarter of round two's answers for noise). An unbounded table keyed
+   by object bytes would keep all of round two. A flipped bit in the BTF
+   section makes /v1/mismatch answer 400, never a 500. *)
+let test_client_keyed_memory_bounded () =
+  let bytes = Ds_bpf.Obj.write (corpus_obj "biotop") in
+  let per_round = 300 in
+  (* distinct single-bit mutants that still parse *)
+  let mutants =
+    let rec go pos bit acc k =
+      if k = 2 * per_round then List.rev acc
+      else if pos >= String.length bytes then Alcotest.fail "too few parseable mutants"
+      else
+        let next_pos, next_bit = if bit = 7 then (pos + 1, 0) else (pos, bit + 1) in
+        let m = Faultgen.flip_bit bytes ~byte:pos ~bit in
+        match Ds_util.Diag.ok (Ds_bpf.Obj.read m) with
+        | exception _ -> go next_pos next_bit acc k
+        | _ -> go next_pos next_bit (m :: acc) (k + 1)
+    in
+    go (String.length bytes / 2) 0 [] 0
+  in
+  let round1 = List.filteri (fun i _ -> i < per_round) mutants
+  and round2 = List.filteri (fun i _ -> i >= per_round) mutants in
+  with_server @@ fun t _ ->
+  (* spans land in bounded rings that are still filling; keep them out *)
+  Ds_trace.Trace.disable ();
+  Fun.protect ~finally:Ds_trace.Trace.enable @@ fun () ->
+  let post_round objs =
+    List.fold_left
+      (fun acc obj ->
+        List.fold_left
+          (fun acc target ->
+            let st, _, _, body = Serve.handle_request t ~meth:"POST" ~target ~body:obj in
+            if st <> 200 && st <> 400 then Alcotest.failf "%s answered %d: %s" target st body;
+            if st = 200 then acc + String.length body else acc)
+          acc [ "/v1/verify"; "/v1/mismatch" ])
+      0 objs
+  in
+  let live_bytes () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+  in
+  ignore (post_round round1);
+  let live1 = live_bytes () in
+  let _, cached1 = response_cache_stats t in
+  let answered2 = post_round round2 in
+  let live2 = live_bytes () in
+  let entries2, cached2 = response_cache_stats t in
+  Alcotest.(check int) "the response cache is full" 512 entries2;
+  let explained = max 0 (cached2 - cached1) + (answered2 / 4) in
+  Alcotest.(check bool)
+    (Printf.sprintf "heap growth %d bytes within %d (round two answered %d bytes)"
+       (live2 - live1) explained answered2)
+    true
+    (live2 - live1 < explained)
 
 let test_watch_poll_immediate () =
   with_server @@ fun t _ ->
@@ -1319,9 +1377,9 @@ let suites =
         Alcotest.test_case "cache scope" `Quick test_cache_scope;
         Alcotest.test_case "graph endpoints" `Quick test_graph_endpoints;
         Alcotest.test_case "graph blast endpoint" `Slow test_graph_blast_endpoint;
+        Alcotest.test_case "blast single-flight" `Slow test_blast_single_flight;
         Alcotest.test_case "store maintenance revalidation" `Quick test_store_revalidation;
         Alcotest.test_case "respcache lru" `Quick test_respcache_lru;
-        Alcotest.test_case "v1 aliases byte-identical" `Quick test_v1_aliases_byte_identical;
         Alcotest.test_case "trace header and recent" `Quick test_trace_header_and_recent;
         Alcotest.test_case "inline trace query" `Quick test_trace_inline_query;
         Alcotest.test_case "subscriptions crud" `Quick test_subscriptions_crud;
@@ -1329,8 +1387,8 @@ let suites =
           test_mutation_envelope_equivalence;
         Alcotest.test_case "error envelope golden" `Quick test_error_envelope_golden;
         Alcotest.test_case "uniform error envelope" `Quick test_error_envelope_uniform;
-        Alcotest.test_case "legacy sunset headers" `Quick test_legacy_sunset_headers;
-        Alcotest.test_case "no-legacy-routes 404" `Quick test_no_legacy_routes;
+        Alcotest.test_case "unprefixed routes 404" `Quick test_unprefixed_routes_404;
+        Alcotest.test_case "client-keyed memory bounded" `Slow test_client_keyed_memory_bounded;
         Alcotest.test_case "watch poll" `Quick test_watch_poll_immediate;
       ] );
     ( "serve.socket",

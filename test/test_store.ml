@@ -69,6 +69,15 @@ let test_hash_separation () =
     (digest (fun h -> Store.Hash.int h 7))
     (digest (fun h -> Store.Hash.int64 h 7L))
 
+let test_hash_one_shot () =
+  List.iter
+    (fun s ->
+      Alcotest.(check string)
+        (Printf.sprintf "digest of %d bytes" (String.length s))
+        (digest (fun h -> Store.Hash.string h s))
+        (Store.Hash.digest s))
+    [ ""; "a"; "abc"; String.make 255 '\xff'; String.init 70_000 (fun i -> Char.chr (i land 0xFF)) ]
+
 (* ------------------------------------------------------------------ *)
 (* Frame                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -412,6 +421,7 @@ let suites =
       [
         Alcotest.test_case "determinism" `Quick test_hash_determinism;
         Alcotest.test_case "separation" `Quick test_hash_separation;
+        Alcotest.test_case "one-shot digest" `Quick test_hash_one_shot;
       ] );
     ( "store.frame",
       [
