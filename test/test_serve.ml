@@ -1123,9 +1123,9 @@ let test_error_envelope_uniform () =
       ("PATCH", "/v1/watch/ingest");
     ]
 
-(* the unprefixed aliases are retired: every spelling outside /v1
-   answers the 404 pointer, also right after its /v1 twin was cached *)
-let test_unprefixed_routes_404 () =
+(* there are no legacy routes: every spelling outside /v1 answers the
+   404 pointer, also right after its /v1 twin was answered and cached *)
+let test_no_legacy_routes () =
   with_server @@ fun t _ ->
   let points_at_v1 path body =
     match Json.member "data" (Json.of_string body) with
@@ -1140,7 +1140,9 @@ let test_unprefixed_routes_404 () =
   List.iter
     (fun (meth, path) ->
       (* answer (and cache, where cacheable) the /v1 twin first *)
-      ignore (Serve.handle_request t ~meth ~target:("/v1" ^ path) ~body:"");
+      let st, _, _, _ = Serve.handle_request t ~meth ~target:("/v1" ^ path) ~body:"" in
+      if path <> "/no/such" then
+        Alcotest.(check bool) ("/v1" ^ path ^ " still answers") true (st <> 404);
       let st, ct, hdrs, body = Serve.handle_request t ~meth ~target:path ~body:"" in
       Alcotest.(check int) (path ^ " -> 404") 404 st;
       Alcotest.(check string) (path ^ " json") "application/json" ct;
@@ -1387,7 +1389,7 @@ let suites =
           test_mutation_envelope_equivalence;
         Alcotest.test_case "error envelope golden" `Quick test_error_envelope_golden;
         Alcotest.test_case "uniform error envelope" `Quick test_error_envelope_uniform;
-        Alcotest.test_case "unprefixed routes 404" `Quick test_unprefixed_routes_404;
+        Alcotest.test_case "no-legacy-routes 404" `Quick test_no_legacy_routes;
         Alcotest.test_case "client-keyed memory bounded" `Slow test_client_keyed_memory_bounded;
         Alcotest.test_case "watch poll" `Quick test_watch_poll_immediate;
       ] );
