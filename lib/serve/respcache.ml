@@ -71,11 +71,7 @@ let lookup t key =
       push_front t n;
       Some n.n_entry
 
-let find t key =
-  Mutex.lock t.c_mutex;
-  let r = lookup t key in
-  Mutex.unlock t.c_mutex;
-  r
+let find t key = Mutex.protect t.c_mutex (fun () -> lookup t key)
 
 let evict_tail t =
   match t.c_tail with
@@ -112,11 +108,7 @@ let insert t key entry =
     !evicted
   end
 
-let add t key entry =
-  Mutex.lock t.c_mutex;
-  let evicted = insert t key entry in
-  Mutex.unlock t.c_mutex;
-  evicted
+let add t key entry = Mutex.protect t.c_mutex (fun () -> insert t key entry)
 
 let result = function Ok e -> e | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 
@@ -145,8 +137,4 @@ let find_or_fill t key fill =
       Mutex.unlock t.c_mutex;
       `Miss (result r, evicted)
 
-let stats t =
-  Mutex.lock t.c_mutex;
-  let r = (Hashtbl.length t.c_tbl, t.c_bytes) in
-  Mutex.unlock t.c_mutex;
-  r
+let stats t = Mutex.protect t.c_mutex (fun () -> (Hashtbl.length t.c_tbl, t.c_bytes))

@@ -4,7 +4,7 @@
     the strong ETag computed over them when the entry was filled, so the
     request skips the Export → JSON → envelope pipeline entirely. The
     {e caller} builds keys — [Serve] keys on (endpoint segments,
-    normalized query params, index generation), so bumping the
+    effective params, body digest, index generation), so bumping the
     generation makes every older entry unreachable; stale entries then
     age out through the LRU. Thread-safe (one mutex; all operations are
     O(1) plus hashing). {!find_or_fill} is single-flight: concurrent

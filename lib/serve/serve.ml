@@ -132,11 +132,7 @@ let create ?images_dir ?limits ~ds ~pool () =
 let metrics t = t.sv_metrics
 let watch t = t.sv_watch
 
-let parked_count t =
-  Mutex.lock t.sv_park_mu;
-  let n = List.length !(t.sv_parked) in
-  Mutex.unlock t.sv_park_mu;
-  n
+let parked_count t = Mutex.protect t.sv_park_mu (fun () -> List.length !(t.sv_parked))
 let dataset t = t.sv_ds
 let limits t = t.sv_limits
 let admission t = t.sv_adm
@@ -181,18 +177,13 @@ let find_source t name =
   | Some (v, cfg) -> Some (Study (v, cfg))
   | None -> Option.map (fun p -> File p) (List.assoc_opt name t.sv_files)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let surface_of_source t name = function
   | Study (v, cfg) -> Dataset.surface t.sv_ds v cfg
   | File path ->
       Par.Memo.find_or_compute t.ix_file_surface name (fun () ->
           Metrics.incr t.sv_metrics "compute.file_surface";
-          Ds_util.Diag.ok (Surface.extract ~mode:`Lenient (read_file path)))
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Ds_util.Diag.ok (Surface.extract ~mode:`Lenient bytes))
 
 (* ---- JSON plumbing ------------------------------------------------- *)
 
@@ -539,7 +530,6 @@ let metrics_endpoint t =
               ] )
        :: fields))
 
-
 (* ---- watch & subscriptions ------------------------------------------ *)
 
 (* deps arrive as canonical "kind:name" strings (bare names mean func:),
@@ -641,6 +631,12 @@ let watch_ingest t query body =
             | Error m -> error_json 400 m
             | Ok r -> ok_json (Api.envelope (Watch.ingest_json r))))
 
+(* ?since=<cursor>: a non-negative event cursor, 0 when absent or bad *)
+let since_of query =
+  match Option.bind (List.assoc_opt "since" query) int_of_string_opt with
+  | Some n when n >= 0 -> n
+  | _ -> 0
+
 (* the immediate (non-parked) answer: 200 with pending events, or an
    empty 204 — parking happens at the socket layer ([handle_conn]),
    which re-dispatches here on wakeup so both paths share one renderer *)
@@ -648,11 +644,7 @@ let watch_poll t id query =
   match Watch.find_sub t.sv_watch id with
   | None -> error_json 404 ("no such subscription: " ^ id)
   | Some _ -> (
-      let since =
-        match Option.bind (List.assoc_opt "since" query) int_of_string_opt with
-        | Some n when n >= 0 -> n
-        | _ -> 0
-      in
+      let since = since_of query in
       match Watch.events_after t.sv_watch ~sub:id ~since with
       | [] -> (204, "application/json", "")
       | events ->
@@ -756,133 +748,122 @@ let inject_trace root_id body =
         (Json.Obj (fields @ [ ("trace", Json.List (List.map Trace.span_json sps)) ]))
   | _ -> body
 
-let dispatch t ~meth ~segs ~query ~body ~digest =
-  Deadline.check ();
-  match (meth, segs) with
-  | "GET", [ "healthz" ] -> healthz t
-  | "GET", [ "images" ] -> images t
-  | "GET", [ "surface"; name ] -> surface_endpoint t name query
-  | "GET", [ "graph"; "deps"; sym ] -> graph_query_endpoint t `Deps sym query
-  | "GET", [ "graph"; "rdeps"; sym ] -> graph_query_endpoint t `Rdeps sym query
-  | "GET", [ "graph"; "blast"; sym ] -> graph_blast_endpoint t sym query
-  | "POST", [ "mismatch" ] -> mismatch_endpoint t query body
-  | "POST", [ "verify" ] -> verify_endpoint t query ~digest body
-  | "POST", [ "subscriptions" ] -> subscriptions_create t query body
-  | "GET", [ "subscriptions" ] -> subscriptions_list t
-  | "GET", [ "subscriptions"; id ] -> subscription_get t id
-  | "DELETE", [ "subscriptions"; id ] -> subscription_delete t id
-  | "POST", [ "watch"; "ingest" ] -> watch_ingest t query body
-  | "GET", [ "watch"; id ] -> watch_poll t id query
-  | "GET", [ "metrics" ] -> metrics_endpoint t
-  | "GET", [ "trace"; "recent" ] -> trace_endpoint query
-  | ( _,
-      ( [ "healthz" ] | [ "images" ] | [ "surface"; _ ] | [ "diff"; _; _ ]
-      | [ "graph"; ("deps" | "rdeps" | "blast"); _ ]
-      | [ "metrics" ] | [ "trace"; "recent" ] ) ) ->
-      error_json 405 ("method not allowed: " ^ meth)
-  | _, [ "mismatch" ] -> error_json 405 "POST the BPF object bytes to /v1/mismatch"
-  | _, [ "verify" ] -> error_json 405 "POST the BPF object bytes to /v1/verify"
-  | _, [ "subscriptions" ] ->
-      error_json 405 "POST a depset to /v1/subscriptions, or GET to list"
-  | _, [ "subscriptions"; _ ] -> error_json 405 "GET or DELETE /v1/subscriptions/<id>"
-  | _, [ "watch"; "ingest" ] ->
-      error_json 405 "POST the release image to /v1/watch/ingest?base=<image>"
-  | _, [ "watch"; _ ] -> error_json 405 "GET /v1/watch/<sub-id>?since=<cursor>"
-  | _ ->
-      error_json 404
-        "no such endpoint (under /v1: healthz, images, surface, diff, graph/deps, \
-         graph/rdeps, graph/blast, mismatch, verify, subscriptions, watch/ingest, \
-         watch/<sub-id>, metrics, trace/recent)"
+(* How a route's answer is held. Each cacheable answer lives in exactly
+   one cache: a [Document] in its single-flight memo (the handler owns
+   the lookup), a [Cached] answer in the Respcache under [params] and the
+   body [digest]; a [Live] answer reports live state and is never held. *)
+type tier =
+  | Live of (unit -> int * string * string)
+  | Document of (unit -> reply)
+  | Cached of {
+      params : (string * string) list;
+      digest : string Lazy.t option;
+      fill : unit -> int * string * string;
+    }
 
-let route_label segs =
-  match segs with
-  | [ "healthz" ] -> "/healthz"
-  | [ "images" ] -> "/images"
-  | "surface" :: _ -> "/surface"
-  | "diff" :: _ -> "/diff"
-  | "graph" :: _ -> "/graph"
-  | [ "mismatch" ] -> "/mismatch"
-  | [ "verify" ] -> "/verify"
-  | [ "metrics" ] -> "/metrics"
-  | "subscriptions" :: _ -> "/subscriptions"
-  | "watch" :: _ -> "/watch"
-  | "trace" :: _ -> "/trace"
-  | _ -> "/other"
-
-(* Response-cache routes: answers that are pure functions of (segs,
-   query, body, generation) and are not documents. healthz/metrics/trace
-   bodies report live counters. The POSTs qualify because their answer is
-   a function of the posted bytes, which enter the key as a digest. *)
-let cacheable_route ~meth ~segs =
-  match (meth, segs) with
-  | "GET", ([ "images" ] | [ "surface"; _ ] | [ "graph"; ("deps" | "rdeps" | "blast"); _ ]) ->
-      true
-  | "POST", ([ "mismatch" ] | [ "verify" ]) -> true
-  | _ -> false
-
-let cache_key t ~segs ~query ~body ~digest =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (string_of_int (Atomic.get t.sv_generation));
-  List.iter
-    (fun s ->
-      Buffer.add_char b '/';
-      Buffer.add_string b s)
-    segs;
-  (* normalized params: order-insensitive *)
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b '?';
-      Buffer.add_string b k;
-      Buffer.add_char b '=';
-      Buffer.add_string b v)
-    (List.sort compare query);
-  (* request bodies participate by the digest the endpoint uses too:
-     repeat posts of the same object bytes share one cached response *)
-  if String.length body > 0 then begin
-    Buffer.add_char b '#';
-    Buffer.add_string b (Lazy.force digest)
-  end;
-  Buffer.contents b
-
-(* the Respcache tier, single-flight per key; only 200s are stored *)
-let cached_or_dispatch t ~meth ~segs ~query ~body ~traced : reply =
-  let digest = lazy (Store.Hash.digest body) in
-  if traced || not (cacheable_route ~meth ~segs) then
-    plain (dispatch t ~meth ~segs ~query ~body ~digest)
-  else begin
-    (* external store maintenance must not leave stale bytes in the
-       response cache — cheap throttled poll, see [revalidate_store] *)
-    revalidate_throttled t;
-    let fill () = entry (dispatch t ~meth ~segs ~query ~body ~digest) in
-    match Respcache.find_or_fill t.sv_cache (cache_key t ~segs ~query ~body ~digest) fill with
-    | `Hit e ->
-        Metrics.incr t.sv_metrics "cache.hit";
-        cached e "hit"
-    | `Miss (e, evicted) ->
-        Metrics.incr t.sv_metrics "cache.miss";
-        if evicted > 0 then Metrics.incr t.sv_metrics ~by:evicted "cache.evict";
-        cached e "miss"
-  end
-
-(* Each cacheable answer lives in exactly one cache: the documents in
-   their memos, everything else in the Respcache. The mutation envelope
-   [{v; params; body}] is unwrapped first, so the endpoints and the cache
-   key only ever see the effective (params, body); a bare body passes
+(* The one route table: per path and method, the tier and handler of the
+   answer ([None]: no such endpoint). The POST arms unwrap the mutation
+   envelope [{v; params; body}], so handlers and the cache key only ever
+   see the effective (params, body), and the body digest that keys a
+   Respcache entry is the one the handler reports; a bare body passes
    through untouched. *)
-let respond t ~meth ~segs ~query ~body ~traced : reply =
-  match (meth, segs) with
-  | "GET", [ "surface"; name ] when whole_surface query -> surface_document t name
-  | "GET", [ "diff"; a; b ] -> diff_document t a b
-  | "POST", ([ "mismatch" ] | [ "verify" ] | [ "subscriptions" ]) -> (
+let route t ~meth ~segs ~query ~body =
+  let cached fill = Cached { params = query; digest = None; fill } in
+  let not_allowed msg = Live (fun () -> error_json 405 msg) in
+  let get tier = if meth = "GET" then tier else not_allowed ("method not allowed: " ^ meth) in
+  let post ?(cache = false) msg handler =
+    if meth <> "POST" then not_allowed msg
+    else
       match Api.parse_mutation body with
-      | Error problems -> plain (error_json ~diagnostics:problems 400 "invalid request envelope")
+      | Error problems ->
+          Live (fun () -> error_json ~diagnostics:problems 400 "invalid request envelope")
       | Ok m ->
           if m.Api.mu_enveloped then Metrics.incr t.sv_metrics "requests.enveloped";
-          (* envelope params win over query-string duplicates (assoc
-             finds the first binding) *)
-          cached_or_dispatch t ~meth ~segs ~query:(m.Api.mu_params @ query) ~body:m.Api.mu_body
-            ~traced)
-  | _ -> cached_or_dispatch t ~meth ~segs ~query ~body ~traced
+          (* envelope params win over query-string duplicates: handlers
+             read the first binding *)
+          let query = m.Api.mu_params @ query and body = m.Api.mu_body in
+          let digest = lazy (Store.Hash.digest body) in
+          let fill () = handler query body digest in
+          if cache then Cached { params = query; digest = Some digest; fill } else Live fill
+  in
+  match segs with
+  | [ "healthz" ] -> Some (get (Live (fun () -> healthz t)))
+  | [ "images" ] -> Some (get (cached (fun () -> images t)))
+  | [ "surface"; name ] when whole_surface query ->
+      Some (get (Document (fun () -> surface_document t name)))
+  | [ "surface"; name ] -> Some (get (cached (fun () -> surface_endpoint t name query)))
+  | [ "diff"; a; b ] -> Some (get (Document (fun () -> diff_document t a b)))
+  | [ "graph"; (("deps" | "rdeps") as dir); sym ] ->
+      let dir = if dir = "deps" then `Deps else `Rdeps in
+      Some (get (cached (fun () -> graph_query_endpoint t dir sym query)))
+  | [ "graph"; "blast"; sym ] -> Some (get (cached (fun () -> graph_blast_endpoint t sym query)))
+  | [ "mismatch" ] ->
+      Some
+        (post ~cache:true "POST the BPF object bytes to /v1/mismatch" (fun query body _ ->
+             mismatch_endpoint t query body))
+  | [ "verify" ] ->
+      Some
+        (post ~cache:true "POST the BPF object bytes to /v1/verify" (fun query body digest ->
+             verify_endpoint t query ~digest body))
+  | [ "subscriptions" ] when meth = "GET" -> Some (Live (fun () -> subscriptions_list t))
+  | [ "subscriptions" ] ->
+      Some
+        (post "POST a depset to /v1/subscriptions, or GET to list" (fun query body _ ->
+             subscriptions_create t query body))
+  | [ "subscriptions"; id ] when meth = "GET" -> Some (Live (fun () -> subscription_get t id))
+  | [ "subscriptions"; id ] when meth = "DELETE" ->
+      Some (Live (fun () -> subscription_delete t id))
+  | [ "subscriptions"; _ ] -> Some (not_allowed "GET or DELETE /v1/subscriptions/<id>")
+  | [ "watch"; "ingest" ] when meth = "POST" -> Some (Live (fun () -> watch_ingest t query body))
+  | [ "watch"; "ingest" ] ->
+      Some (not_allowed "POST the release image to /v1/watch/ingest?base=<image>")
+  | [ "watch"; id ] when meth = "GET" -> Some (Live (fun () -> watch_poll t id query))
+  | [ "watch"; _ ] -> Some (not_allowed "GET /v1/watch/<sub-id>?since=<cursor>")
+  | [ "metrics" ] -> Some (get (Live (fun () -> metrics_endpoint t)))
+  | [ "trace"; "recent" ] -> Some (get (Live (fun () -> trace_endpoint query)))
+  | _ -> None
+
+(* The Respcache key: generation, segments, the effective params (the
+   first binding of each name, which is the one handlers read, sorted so
+   order does not matter) and the body digest. Every part is
+   length-prefixed, so no decoded segment or value can spell another
+   request's key. *)
+let cache_key t ~segs ~params ~digest =
+  let part s = string_of_int (String.length s) ^ ":" ^ s in
+  let effective =
+    List.fold_left (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc) [] params
+  in
+  String.concat ""
+    (List.map part (string_of_int (Atomic.get t.sv_generation) :: segs)
+    @ ("?" :: List.concat_map (fun (k, v) -> [ part k; part v ]) (List.sort compare effective))
+    @ match digest with Some d -> [ "#"; part (Lazy.force d) ] | None -> [])
+
+(* answer one routed request from its tier; only 200s enter a cache *)
+let answer t ~segs ~traced tier : reply =
+  match tier with
+  | Document render -> render ()
+  | Live f ->
+      Deadline.check ();
+      plain (f ())
+  | Cached { fill; _ } when traced ->
+      Deadline.check ();
+      plain (fill ())
+  | Cached { params; digest; fill } -> (
+      (* external store maintenance must not leave stale bytes in the
+         response cache — cheap throttled poll, see [revalidate_store] *)
+      revalidate_throttled t;
+      let fill () =
+        Deadline.check ();
+        entry (fill ())
+      in
+      match Respcache.find_or_fill t.sv_cache (cache_key t ~segs ~params ~digest) fill with
+      | `Hit e ->
+          Metrics.incr t.sv_metrics "cache.hit";
+          cached e "hit"
+      | `Miss (e, evicted) ->
+          Metrics.incr t.sv_metrics "cache.miss";
+          if evicted > 0 then Metrics.incr t.sv_metrics ~by:evicted "cache.evict";
+          cached e "miss")
 
 (* The one request-target parser, shared by the router and the parking
    check: the path's percent-decoded segments after the /v1 prefix
@@ -903,12 +884,27 @@ let etag_matches header etag =
   String.trim header = "*"
   || List.exists (fun tok -> String.trim tok = etag) (String.split_on_char ',' header)
 
+let no_such_endpoint =
+  "no such endpoint (under /v1: healthz, images, surface, diff, graph/deps, graph/rdeps, \
+   graph/blast, mismatch, verify, subscriptions, watch/ingest, watch/<sub-id>, metrics, \
+   trace/recent)"
+
 let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
   let path, query, segs = parse_target target in
-  let label = match segs with Some segs -> route_label segs | None -> "/other" in
   let traced = List.assoc_opt "trace" query = Some "1" in
   Metrics.incr t.sv_metrics "requests_total";
   let t0 = Unix.gettimeofday () in
+  (* a route's metrics label is its first segment *)
+  let segs, label, tier =
+    match Option.map (fun segs -> (segs, route t ~meth ~segs ~query ~body)) segs with
+    | Some (segs, Some tier) -> (segs, "/" ^ List.hd segs, tier)
+    | Some (segs, None) -> (segs, "/other", Live (fun () -> error_json 404 no_such_endpoint))
+    | None ->
+        (* the unprefixed aliases are retired: answered before any
+           cache, so no /v1 body ever reaches an unprefixed path *)
+        let msg = "unprefixed routes are retired: use /v1" ^ path in
+        ([], "/other", Live (fun () -> error_json 404 msg))
+  in
   let trace_id = ref 0 in
   let retry_after = ref None in
   let status, ctype, rbody, etag =
@@ -919,13 +915,7 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
           (* the per-request compute budget; Par.submit carries it onto
              any pool fan-out the handler performs *)
           Deadline.with_timeout ~label:"serve.handle" t.sv_limits.li_handle_deadline_s
-          @@ fun () ->
-          match segs with
-          | None ->
-              (* the unprefixed aliases are retired: answered before any
-                 cache, so no /v1 body ever reaches an unprefixed path *)
-              plain (error_json 404 ("unprefixed routes are retired: use /v1" ^ path))
-          | Some segs -> respond t ~meth ~segs ~query ~body ~traced
+          @@ fun () -> answer t ~segs ~traced tier
         with
         | Deadline.Expired (_, over) ->
             (* the handler ran out of its budget: overload, not a bug —
@@ -1269,12 +1259,7 @@ let park_candidate ~meth ~target =
   | _, query, Some [ "watch"; id ] when meth = "GET" && id <> "ingest" -> (
       match Option.bind (List.assoc_opt "wait" query) float_of_string_opt with
       | Some w when w > 0. ->
-          let since =
-            match Option.bind (List.assoc_opt "since" query) int_of_string_opt with
-            | Some n when n >= 0 -> n
-            | _ -> 0
-          in
-          Some (id, since, w)
+          Some (id, since_of query, w)
       | _ -> None)
   | _ -> None
 

@@ -22,7 +22,8 @@
       {- every other cacheable answer ([/v1/images], construct lookups,
          [/v1/graph/...], [POST /v1/mismatch], [POST /v1/verify]) lives
          only in the bounded {e response-byte cache} ({!Respcache}),
-         keyed by (endpoint, normalized params, body digest, generation),
+         keyed by (endpoint, effective params — the first binding of
+         each name, sorted — body digest, generation),
          so a warm hit skips Export → JSON → envelope entirely and client
          input can never grow server memory past the LRU's caps.}}
       Both tiers are single-flight: concurrent requests for the same

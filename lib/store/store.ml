@@ -37,19 +37,10 @@ module Hash = struct
   let float t f = int64 t (Int64.bits_of_float f)
   let hex t = Printf.sprintf "%016Lx%016Lx" (mix64 t.a) (mix64 t.b)
 
-  (* [create] / [string] / [hex] in one loop over local refs, which the
-     compiler keeps unboxed: the 8 length bytes first, then the payload *)
   let digest s =
-    let n = String.length s in
-    let a = ref 0xCBF29CE484222325L and b = ref 0x84222325CBF29CE4L in
-    for i = 0 to n + 7 do
-      let c =
-        if i < 8 then (n lsr (i * 8)) land 0xFF else Char.code (String.unsafe_get s (i - 8))
-      in
-      a := Int64.mul (Int64.logxor !a (Int64.of_int c)) fnv_prime;
-      b := Int64.mul (Int64.logxor !b (Int64.of_int (c lxor 0x5A))) fnv_prime
-    done;
-    Printf.sprintf "%016Lx%016Lx" (mix64 !a) (mix64 !b)
+    let h = create () in
+    string h s;
+    hex h
 end
 
 module Frame = struct

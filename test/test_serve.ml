@@ -1070,6 +1070,44 @@ let test_mutation_envelope_equivalence () =
   Alcotest.(check string) "envelope health fatal" "fatal"
     (member_str "health" (Json.of_string body))
 
+(* The response cache keys on the params the handlers read: the first
+   binding of each name (envelope params ahead of the query string), so
+   two requests with the same names and values in conflicting order get
+   their own answers, and a value spelling "k=v" stays one value. *)
+let test_cache_key_effective_params () =
+  with_server @@ fun t _ ->
+  let bytes = Ds_bpf.Obj.write (corpus_obj "biotop") in
+  let enveloped image =
+    Printf.sprintf {|{"v": 1, "params": {"image": "%s"}, "body": "%s"}|} image (b64 bytes)
+  in
+  let bare image = post t ("/v1/verify?image=" ^ image) bytes in
+  let a = "4.4-x86-generic" and b = "5.4-x86-generic" in
+  let env_a = post t ("/v1/verify?image=" ^ b) (enveloped a) in
+  let env_b = post t ("/v1/verify?image=" ^ a) (enveloped b) in
+  Alcotest.(check bool) "the two verify reports differ" true (env_a <> env_b);
+  Alcotest.(check bool) "envelope image 4.4 wins" true (env_a = bare a);
+  Alcotest.(check bool) "envelope image 5.4 wins" true (env_b = bare b);
+  (* the same for ?suggest= on /v1/mismatch *)
+  let suggest v = Printf.sprintf {|{"v": 1, "params": {"suggest": "%s"}, "body": "%s"}|} v (b64 bytes) in
+  let m1 = post t "/v1/mismatch?suggest=0" (suggest "1") in
+  let m0 = post t "/v1/mismatch?suggest=1" (suggest "0") in
+  Alcotest.(check bool) "envelope suggest=1 wins" true (m1 = post t "/v1/mismatch?suggest=1" bytes);
+  Alcotest.(check bool) "envelope suggest=0 wins" true (m0 = post t "/v1/mismatch" bytes);
+  (* a repeated query name: the first binding answers, in either order *)
+  let deps = "/v1/graph/deps/vfs_fsync" in
+  let _, _, ab = get t (deps ^ "?image=" ^ a ^ "&image=" ^ b) in
+  let _, _, ba = get t (deps ^ "?image=" ^ b ^ "&image=" ^ a) in
+  let _, _, only_a = get t (deps ^ "?image=" ^ a) in
+  let _, _, only_b = get t (deps ^ "?image=" ^ b) in
+  Alcotest.(check string) "first image= answers" only_a ab;
+  Alcotest.(check string) "first image= answers, swapped" only_b ba;
+  (* a decoded value holding "?k=v" is one unknown image, not a hit on
+     the two-param answer *)
+  let st, _, _ = get t (deps ^ "?image=" ^ b ^ "&transitive=1") in
+  Alcotest.(check int) "two params 200" 200 st;
+  let st, _, _ = get t (deps ^ "?image=" ^ b ^ "%3Ftransitive%3D1") in
+  Alcotest.(check int) "one param holding ?transitive=1 is 404" 404 st
+
 (* golden pin of the error envelope's exact wire bytes: every non-2xx
    body is rendered by Api.error_envelope, so this is the contract
    error-handling clients parse against *)
@@ -1387,6 +1425,7 @@ let suites =
         Alcotest.test_case "subscriptions crud" `Quick test_subscriptions_crud;
         Alcotest.test_case "mutation envelope equivalence" `Slow
           test_mutation_envelope_equivalence;
+        Alcotest.test_case "cache key effective params" `Slow test_cache_key_effective_params;
         Alcotest.test_case "error envelope golden" `Quick test_error_envelope_golden;
         Alcotest.test_case "uniform error envelope" `Quick test_error_envelope_uniform;
         Alcotest.test_case "no-legacy-routes 404" `Quick test_no_legacy_routes;
