@@ -32,8 +32,8 @@ module Hash : sig
   (** 32-hex-char digest of everything fed so far. *)
 
   val digest : string -> string
-  (** One-shot digest of one string: the same value as [create],
-      [string] and [hex] in turn, without the incremental state. *)
+  (** One-shot digest of one string: [create], [string] and [hex] in
+      one call. *)
 end
 
 (** The on-disk frame around each payload; exposed for property tests
