@@ -123,6 +123,17 @@ let with_pool jobs f =
   let jobs = match jobs with Some n -> n | None -> Ds_util.Par.default_jobs () in
   Ds_util.Par.run ~jobs f
 
+(* A corrupt type reference in an object's BTF passes the strict object
+   reader and shows only once the analysis resolves it: report it as a
+   fatal diagnostic, worded like serve's 400 answer, not as an uncaught
+   exception. *)
+let or_bad_btf f =
+  try f ()
+  with Ds_btf.Btf.Bad_btf m ->
+    let d = Ds_util.Diag.v Ds_util.Diag.Fatal ~component:"obj" ("bad BPF object: BTF " ^ m) in
+    prerr_endline (Ds_util.Diag.to_string d);
+    exit (Ds_util.Diag.exit_code [ d ])
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -271,6 +282,7 @@ let report_cmd =
     | Some _ ->
         with_trace trace_out ~name:"depsurf.report" @@ fun () ->
         let ds = Trace.span ~name:"report.dataset" (fun () -> mk_ds seed scale store) in
+        or_bad_btf @@ fun () ->
         with_pool jobs @@ fun pool ->
         Trace.span ~name:"report.warm" (fun () ->
             Dataset.warm_list ~pool ds
@@ -551,6 +563,7 @@ let analyze_cmd =
           Printf.printf "deps: %s\n" (String.concat ", " (List.map Depset.dep_to_string deps));
           if List.exists Surface.degraded surfaces then exit 2
     in
+    or_bad_btf @@ fun () ->
     match image_dir, dataset_dir with
     | None, Some dir ->
         let entries = Sys.readdir dir in

@@ -3,6 +3,8 @@
 # Unix socket, hit every endpoint with `depsurf query`, check that a
 # degraded on-disk image answers HTTP 200 (with "health": "degraded",
 # never a 500), compare /v1/mismatch byte-for-byte with `depsurf report`,
+# check that an object with a bad BTF type id is a 400 and a fatal CLI
+# diagnostic with the same wording,
 # check that unprefixed paths answer a 404 pointing at /v1, check that
 # both caches serve warm hits byte-identical to the first render and
 # that If-None-Match answers 304, then a 50-request load smoke with
@@ -113,6 +115,25 @@ Q '/v1/surface/5.4-x86-generic?trace=1' | grep -q '"trace"'
 "$CLI" report --tool biotop > "$TMP/report.cli"
 Q --data "$TMP/biotop.bpf.o" /v1/mismatch > "$TMP/report.srv"
 cmp "$TMP/report.cli" "$TMP/report.srv"
+
+# flipping the low bit of byte 681 of biotop's object leaves a bad type
+# id in its BTF that the strict object reader accepts: serve answers 400
+# and the CLI prints a fatal diagnostic with the same wording and exits
+# 1, never an uncaught exception
+"$CLI" mutate "$TMP/biotop.bpf.o" "$TMP/badbtf.bpf.o" --flip 681
+BAD_BTF="bad BPF object: BTF bad type id 258"
+if "$CLI" analyze --obj "$TMP/badbtf.bpf.o" > /dev/null 2> "$TMP/badbtf.cli"; then
+  echo "analyze accepted a bad BTF type id" >&2; exit 1
+else
+  [ $? -eq 1 ]
+fi
+grep -q "^fatal *obj: $BAD_BTF\$" "$TMP/badbtf.cli"
+if Q --data "$TMP/badbtf.bpf.o" /v1/mismatch > "$TMP/badbtf.srv"; then
+  echo "/v1/mismatch accepted a bad BTF type id" >&2; exit 1
+else
+  [ $? -eq 1 ]
+fi
+grep -q "\"$BAD_BTF\"" "$TMP/badbtf.srv"
 
 # /v1/verify is byte-identical to `doctor --json` for the same object,
 # and the clean corpus object is accepted (doctor exits 0)

@@ -69,6 +69,29 @@ let hits g ~changed deps =
   let tbl = hit_set g ~changed in
   List.filter (Hashtbl.mem tbl) deps
 
+(* The node-independent inputs of a query, computed once per dataset
+   (single flight across domains) and keyed like [Graph.of_dataset]'s
+   memo by the content-addressed dataset key: one entry per dataset for
+   the corpus dependency sets, one per study release with a predecessor
+   for the release diffs. *)
+let corpus_memo : (string, (Ds_corpus.Table7.profile * Depset.dep list) list) Par.Memo.t =
+  Par.Memo.create 4
+
+let diff_memo : (string, Diff.t) Par.Memo.t = Par.Memo.create 16
+
+let corpus_deps ds =
+  Par.Memo.find_or_compute corpus_memo (Depsurf.Dataset.cache_key ds ~label:"blast-corpus" [])
+    (fun () ->
+      List.map (fun (pr, obj) -> (pr, Depset.of_obj obj)) (Ds_corpus.Corpus.build_all ds ()))
+
+let release_diff ds cfg ~prev release =
+  Par.Memo.find_or_compute diff_memo
+    (Depsurf.Dataset.cache_key ds ~label:"blast-diff"
+       [ Version.to_string release; Config.to_string cfg ])
+    (fun () ->
+      Diff.compare_surfaces Diff.Across_versions (Depsurf.Dataset.surface ds prev cfg)
+        (Depsurf.Dataset.surface ds release cfg))
+
 let query ?pool ds ~release node =
   match prev_of release with
   | None ->
@@ -87,20 +110,16 @@ let query ?pool ds ~release node =
       (* the closure is computed on the graph of the surface programs
          were still working against: the previous release *)
       let g = Graph.of_dataset ?pool ds prev cfg in
-      let closure = closure g node in
       let in_closure = hit_set g ~changed:[ node ] in
-      let old_s = Depsurf.Dataset.surface ds prev cfg in
-      let new_s = Depsurf.Dataset.surface ds release cfg in
-      let diff = Diff.compare_surfaces Diff.Across_versions old_s new_s in
-      let removed, reasons = fate_of diff node in
+      let removed, reasons = fate_of (release_diff ds cfg ~prev release) node in
       let affected =
         List.filter_map
-          (fun ((pr : Ds_corpus.Table7.profile), obj) ->
-            let via = List.filter (Hashtbl.mem in_closure) (Depset.of_obj obj) in
+          (fun ((pr : Ds_corpus.Table7.profile), deps) ->
+            let via = List.filter (Hashtbl.mem in_closure) deps in
             if via = [] then None
             else
               Some { af_name = pr.pr_name; af_subsystem = pr.pr_subsystem; af_via = via })
-          (Ds_corpus.Corpus.build_all ds ())
+          (corpus_deps ds)
       in
       Ok
         {
@@ -109,7 +128,9 @@ let query ?pool ds ~release node =
           bl_prev = prev;
           bl_removed = removed;
           bl_reasons = reasons;
-          bl_closure_size = List.length closure;
+          (* the closure's length: the BFS yields distinct nodes and
+             never its start node *)
+          bl_closure_size = Hashtbl.length in_closure;
           bl_affected = affected;
         }
 

@@ -39,13 +39,10 @@ val fate : Depsurf.Diff.t -> Depsurf.Depset.dep -> bool * string list
     the per-node view {!query} reports as [bl_removed]/[bl_reasons],
     shared with the watch tier's per-event reason lines. *)
 
-val closure : Graph.t -> Depsurf.Depset.dep -> Depsurf.Depset.dep list
-(** The node plus its reverse dependency closure in the given graph;
-    [[]] when the node is absent. *)
-
 val hit_set : Graph.t -> changed:Depsurf.Depset.dep list -> (Depsurf.Depset.dep, unit) Hashtbl.t
-(** Union of {!closure} over [changed]: every construct transitively
-    affected when those constructs disappear or change. *)
+(** Every construct transitively affected when the [changed] constructs
+    disappear or change: the union, over [changed], of each node present
+    in the graph plus its reverse closure ({!Graph.rclosure}). *)
 
 val hits :
   Graph.t -> changed:Depsurf.Depset.dep list -> Depsurf.Depset.dep list -> Depsurf.Depset.dep list
@@ -63,9 +60,15 @@ val query :
 (** [Error] on a release outside the study matrix (or its first entry,
     which has no predecessor). A node absent from the graph still
     answers [Ok] with an empty closure and no affected programs. The
-    graph comes from {!Graph.of_dataset} (memoized, store-backed); the
-    corpus objects from {!Ds_corpus.Corpus.build_all} (store-backed
-    under the ["obj"] namespace). *)
+    graph comes from {!Graph.of_dataset} (memoized, store-backed).
+    The node-independent inputs are memoized per dataset, keyed by
+    {!Depsurf.Dataset.cache_key} and computed once across domains: the
+    corpus programs' dependency sets ({!Depsurf.Depset.of_obj} over
+    {!Ds_corpus.Corpus.build_all}, one entry per dataset) and each
+    release's diff against its predecessor (at most 16 entries, one per
+    study release after the first). Together they hold under 0.5 MB per
+    dataset at bench scale, so a query costs one reverse-closure walk
+    and the per-program intersections. *)
 
 val json : result -> Ds_util.Json.t
 (** The wire view shared byte-for-byte by [depsurf graph blast --json]

@@ -1,7 +1,8 @@
 (* The dependency-graph engine: node syntax, build determinism across
    pool shapes, codec roundtrip + corruption discipline, query/closure
    semantics against the surface's own edge sources, store-backed warm
-   loads, and blast-radius queries over the corpus. *)
+   loads, and blast-radius queries over the corpus, whose memoized
+   inputs must give the unmemoized answers without repeated store reads. *)
 
 open Ds_ksrc
 module Depset = Depsurf.Depset
@@ -169,6 +170,115 @@ let test_blast () =
             (a.Blast.af_via <> []))
         r.Blast.bl_affected
 
+(* The memoized query answers like an unmemoized composition of its
+   inputs, byte for byte in [Blast.json], over sampled functions and
+   structs (changed, removed and unchanged ones, plus biotop's own
+   dependencies) at every release with a predecessor; the closure size
+   read off the hit set equals the closure list's length. *)
+let test_blast_memo_equivalence () =
+  let cfg = Config.x86_generic in
+  let built = Ds_corpus.Corpus.build_all ds () in
+  let closure g node = if Graph.mem g node then node :: Graph.rclosure g node else [] in
+  let biotop_deps =
+    List.assoc "biotop"
+      (List.map
+         (fun ((pr : Ds_corpus.Table7.profile), obj) -> (pr.pr_name, Depset.of_obj obj))
+         built)
+  in
+  let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+  let first n l = List.filteri (fun i _ -> i < n) l in
+  let compared = ref 0 in
+  List.iter
+    (fun (prev, release) ->
+      let g = Graph.of_dataset ds prev cfg in
+      let old_s = Depsurf.Dataset.surface ds prev cfg in
+      let diff =
+        Depsurf.Diff.compare_surfaces Depsurf.Diff.Across_versions old_s
+          (Depsurf.Dataset.surface ds release cfg)
+      in
+      let funcs = diff.Depsurf.Diff.df_funcs and structs = diff.Depsurf.Diff.df_structs in
+      let nodes =
+        List.map (fun n -> Depset.Dep_func n)
+          (first 2 funcs.Depsurf.Diff.d_removed
+          @ first 2 (List.map fst funcs.Depsurf.Diff.d_changed)
+          @ List.map (fun (f : Surface.func_entry) -> f.Surface.fe_name) (every 40 old_s.Surface.s_funcs))
+        @ List.map (fun n -> Depset.Dep_struct n)
+            (first 2 structs.Depsurf.Diff.d_removed
+            @ first 2 (List.map fst structs.Depsurf.Diff.d_changed)
+            @ List.map (fun (sd : Ds_ctypes.Decl.struct_def) -> sd.Ds_ctypes.Decl.sname)
+                (every 40 old_s.Surface.s_structs))
+        @ first 3 biotop_deps
+      in
+      List.iter
+        (fun node ->
+          let cl = closure g node in
+          let removed, reasons = Blast.fate diff node in
+          let affected =
+            List.filter_map
+              (fun ((pr : Ds_corpus.Table7.profile), obj) ->
+                match List.filter (fun d -> List.mem d cl) (Depset.of_obj obj) with
+                | [] -> None
+                | via ->
+                    Some
+                      { Blast.af_name = pr.pr_name; af_subsystem = pr.pr_subsystem; af_via = via })
+              built
+          in
+          let expected =
+            {
+              Blast.bl_node = node;
+              bl_release = release;
+              bl_prev = prev;
+              bl_removed = removed;
+              bl_reasons = reasons;
+              bl_closure_size = List.length cl;
+              bl_affected = affected;
+            }
+          in
+          match Blast.query ds ~release node with
+          | Error m -> Alcotest.failf "blast %s failed: %s" (Depset.dep_to_string node) m
+          | Ok r ->
+              incr compared;
+              let what = Depset.dep_to_string node ^ " @ " ^ Version.to_string release in
+              Alcotest.(check int) (what ^ " closure size") (List.length cl) r.Blast.bl_closure_size;
+              Alcotest.(check string) what
+                (Ds_util.Json.to_string (Blast.json expected))
+                (Ds_util.Json.to_string (Blast.json r)))
+        nodes)
+    (List.combine
+       (List.filteri (fun i _ -> i < List.length Version.all - 1) Version.all)
+       (List.tl Version.all));
+  Alcotest.(check bool) "sampled pairs" true (!compared >= 100)
+
+(* After the first blast on a dataset, blasts at other nodes and releases
+   read nothing from the store: the corpus dependency sets come from the
+   memo, not from 53 object reads each. Graphs and surfaces are warmed
+   beforehand, as they have their own in-process memos. *)
+let test_blast_memo_no_store_reads () =
+  let dir = Filename.temp_file "ds-blast-store" "" in
+  Sys.remove dir;
+  let store = Ds_store.Store.open_ ~dir () in
+  (* a seed no other test blasts, so the first query below fills the memo *)
+  let ds' = Depsurf.Dataset.build ~seed:11L ~store Calibration.test_scale in
+  List.iter (fun v -> ignore (Graph.of_dataset ds' v Config.x86_generic)) Version.all;
+  let releases = List.tl Version.all in
+  let blast release node =
+    match Blast.query ds' ~release node with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "blast failed: %s" m
+  in
+  blast (List.hd releases) (Depset.Dep_func "blk_account_io_start");
+  let before = Ds_store.Store.stats store in
+  List.iter
+    (fun release ->
+      List.iter (blast release)
+        [ Depset.Dep_func "vfs_fsync"; Depset.Dep_struct "request"; Depset.Dep_func "no_such_fn" ])
+    releases;
+  let after = Ds_store.Store.stats store in
+  Alcotest.(check int) "store hits unchanged" before.Ds_store.Store.c_hits
+    after.Ds_store.Store.c_hits;
+  Alcotest.(check int) "store misses unchanged" before.Ds_store.Store.c_misses
+    after.Ds_store.Store.c_misses
+
 let test_views () =
   let g = Graph.build (surface ()) in
   let j = Graph.query_json g ~dir:`Rdeps ~transitive:true (Depset.Dep_func "vfs_fsync") in
@@ -197,5 +307,7 @@ let suites =
         Alcotest.test_case "store warm load" `Quick test_store_warm_load;
         Alcotest.test_case "views" `Quick test_views;
         Alcotest.test_case "blast radius" `Slow test_blast;
+        Alcotest.test_case "blast memo matches unmemoized" `Slow test_blast_memo_equivalence;
+        Alcotest.test_case "blast memo reads no store" `Slow test_blast_memo_no_store_reads;
       ] );
   ]

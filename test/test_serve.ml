@@ -612,6 +612,49 @@ let test_blast_single_flight () =
   Alcotest.(check int) "every request went through the response cache" 8
     (Metrics.counter m "cache.hit" + Metrics.counter m "cache.miss")
 
+(* On a fresh server, concurrent blasts at every release with a
+   predecessor share one corpus build: the blast memo is single flight *)
+let test_blast_corpus_built_once () =
+  (* a seed no other test blasts, so the memo starts empty *)
+  let ds' = Dataset.build ~seed:(Int64.add Testenv.seed 1L) Calibration.test_scale in
+  Par.run ~jobs:4 @@ fun pool ->
+  let t = Serve.create ~ds:ds' ~pool () in
+  Ds_trace.Trace.clear ();
+  let releases = List.tl Version.all in
+  Alcotest.(check int) "16 distinct releases" 16 (List.length releases);
+  let clients =
+    List.map
+      (fun v ->
+        (* ?release= takes MAJOR.MINOR, without to_string's leading 'v' *)
+        let r = Version.to_string v in
+        let target =
+          "/v1/graph/blast/blk_account_io_start?release=" ^ String.sub r 1 (String.length r - 1)
+        in
+        Domain.spawn (fun () -> get t target))
+      releases
+  in
+  List.iter
+    (fun c ->
+      let st, _, body = Domain.join c in
+      Alcotest.(check int) ("blast 200: " ^ body) 200 st)
+    clients;
+  let _, _, body = get t "/v1/trace/recent?limit=1000000" in
+  let j = payload body in
+  Alcotest.(check bool) "no spans dropped" true (Json.member "dropped" j = Some (Json.Int 0));
+  let builds =
+    match Json.member "spans" j with
+    | Some (Json.List l) ->
+        List.length
+          (List.filter
+             (function
+               | Json.Obj fields ->
+                   List.assoc_opt "name" fields = Some (Json.String "corpus.build_all")
+               | _ -> false)
+             l)
+    | _ -> Alcotest.fail "trace recent must list spans"
+  in
+  Alcotest.(check int) "one corpus build" 1 builds
+
 let test_graph_blast_endpoint () =
   with_server @@ fun t _ ->
   let st, _, _ = get t "/v1/graph/blast/blk_account_io_start" in
@@ -1418,6 +1461,7 @@ let suites =
         Alcotest.test_case "graph endpoints" `Quick test_graph_endpoints;
         Alcotest.test_case "graph blast endpoint" `Slow test_graph_blast_endpoint;
         Alcotest.test_case "blast single-flight" `Slow test_blast_single_flight;
+        Alcotest.test_case "blast corpus built once" `Slow test_blast_corpus_built_once;
         Alcotest.test_case "store maintenance revalidation" `Quick test_store_revalidation;
         Alcotest.test_case "respcache lru" `Quick test_respcache_lru;
         Alcotest.test_case "trace header and recent" `Quick test_trace_header_and_recent;

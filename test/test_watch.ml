@@ -137,11 +137,9 @@ let test_transitive_hit () =
   let pick =
     List.find_map
       (fun (f : Surface.func_entry) ->
-        let node = Depset.Dep_func f.Surface.fe_name in
-        match Ds_graph.Blast.closure g node with
-        | _ :: (_ :: _ as rest) ->
-            Some (f.Surface.fe_name, List.find (fun d -> d <> node) rest)
-        | _ -> None)
+        match Ds_graph.Graph.rclosure g (Depset.Dep_func f.Surface.fe_name) with
+        | dependant :: _ -> Some (f.Surface.fe_name, dependant)
+        | [] -> None)
       base.Surface.s_funcs
   in
   match pick with
