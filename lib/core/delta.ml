@@ -62,9 +62,9 @@ let merge_ops ~name base next =
   in
   go [] base next
 
-let diff_surfaces ~base (next : Surface.t) =
+let diff_surfaces ?base_ref ~base (next : Surface.t) =
   {
-    dl_base_ref = digest base;
+    dl_base_ref = (match base_ref with Some r -> r | None -> digest base);
     dl_version = next.Surface.s_version;
     dl_arch = next.Surface.s_arch;
     dl_flavor = next.Surface.s_flavor;

@@ -46,9 +46,11 @@ val digest : Surface.t -> string
     delta is checked against. O(surface) — callers on the warm path
     should memoize per base. *)
 
-val diff_surfaces : base:Surface.t -> Surface.t -> t
+val diff_surfaces : ?base_ref:string -> base:Surface.t -> Surface.t -> t
 (** Compute the op list turning [base] into the given next surface, by
-    merge-joining the sorted per-section name lists. O(base + next). *)
+    merge-joining the sorted per-section name lists. O(base + next).
+    [base_ref], when given, must be [digest base]; a caller that keeps
+    it per base saves re-encoding the base on every call. *)
 
 val encode : t -> string
 val decode : string -> t

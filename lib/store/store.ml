@@ -4,38 +4,59 @@ let log_src = Logs.Src.create "ds_store" ~doc:"DepSurf content-addressed artifac
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* SplitMix64 finalizer: the same mixer Prng uses, applied here to hash
-   states so single-byte differences avalanche across the whole digest. *)
-let mix64 z =
-  let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
-  let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-  Int64.(logxor z (shift_right_logical z 31))
-
-let fnv_prime = 0x100000001B3L
-
 module Hash = struct
+  (* Two lanes, each an xxHash64-style round per 64-bit word:
+     [acc = rotl (acc + w * p) r * q] with odd [p] and [q]. For a fixed
+     word the round is a bijection of [acc], and for a fixed [acc] it is
+     injective in the word, so two inputs of equal length that differ in
+     any single word always leave a lane different; the SplitMix64
+     finisher ({!Prng.mix64}) is a bijection too. The rotation carries
+     the high bits of one word down before the next is absorbed, so a
+     flip of bit 63 in two words does not cancel, as it would under a
+     plain [(acc xor w) * p]. *)
   type t = { mutable a : int64; mutable b : int64 }
 
   let create () = { a = 0xCBF29CE484222325L; b = 0x84222325CBF29CE4L }
+  let[@inline] rotl x r = Int64.(logor (shift_left x r) (shift_right_logical x (64 - r)))
 
-  let byte t c =
-    t.a <- Int64.mul (Int64.logxor t.a (Int64.of_int c)) fnv_prime;
-    t.b <- Int64.mul (Int64.logxor t.b (Int64.of_int (c lxor 0x5A))) fnv_prime
+  let[@inline] round_a acc w =
+    Int64.(mul (rotl (add acc (mul w 0xC2B2AE3D27D4EB4FL)) 31) 0x9E3779B185EBCA87L)
+
+  let[@inline] round_b acc w =
+    Int64.(mul (rotl (add acc (mul w 0x85EBCA77C2B2AE63L)) 27) 0x165667B19E3779F9L)
 
   let int64 t v =
-    for i = 0 to 7 do
-      byte t (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xFF)
-    done
+    t.a <- round_a t.a v;
+    t.b <- round_b t.b v
 
   let int t v = int64 t (Int64.of_int v)
 
+  (* length-delimited so adjacent fields cannot alias: the length, each
+     whole little-endian word, then the 1-7 tail bytes packed into one
+     word. The lanes stay in unboxed locals until the end. *)
   let string t s =
-    (* length-delimited so adjacent fields cannot alias *)
-    int t (String.length s);
-    String.iter (fun c -> byte t (Char.code c)) s
+    let n = String.length s in
+    let a = ref (round_a t.a (Int64.of_int n)) and b = ref (round_b t.b (Int64.of_int n)) in
+    let i = ref 0 in
+    while !i + 8 <= n do
+      let w = String.get_int64_le s !i in
+      a := round_a !a w;
+      b := round_b !b w;
+      i := !i + 8
+    done;
+    if !i < n then begin
+      let w = ref 0L in
+      for j = n - 1 downto !i do
+        w := Int64.(logor (shift_left !w 8) (of_int (Char.code (String.unsafe_get s j))))
+      done;
+      a := round_a !a !w;
+      b := round_b !b !w
+    end;
+    t.a <- !a;
+    t.b <- !b
 
   let float t f = int64 t (Int64.bits_of_float f)
-  let hex t = Printf.sprintf "%016Lx%016Lx" (mix64 t.a) (mix64 t.b)
+  let hex t = Printf.sprintf "%016Lx%016Lx" (Prng.mix64 t.a) (Prng.mix64 t.b)
 
   let digest s =
     let h = create () in
@@ -45,20 +66,16 @@ end
 
 module Frame = struct
   let magic = "DSAR"
-  let format_version = 1
+  let format_version = 2
 
-  (* FNV-1a over the payload, SplitMix64-finished. FNV's odd-prime
-     multiply is injective mod 2^64, so two equal-length payloads that
-     differ in any single byte are *guaranteed* to checksum differently —
-     the property the byte-flip tests pin down. *)
+  (* The first lane of {!Hash} over the payload, SplitMix64-finished:
+     two equal-length payloads that differ in any single byte (any
+     single word, in fact) are guaranteed to checksum differently, the
+     property the byte-flip tests pin down. *)
   let checksum s =
-    let h = ref 0xCBF29CE484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.logxor !h (Int64.of_int (Char.code c));
-        h := Int64.mul !h fnv_prime)
-      s;
-    mix64 !h
+    let h = Hash.create () in
+    Hash.string h s;
+    Prng.mix64 h.Hash.a
 
   type result = Ok of string | Corrupt of string
 

@@ -3,7 +3,7 @@
     paper persists every extracted surface so analyses run off the
     published dataset rather than re-extracting 25 vmlinux images, §3.4).
 
-    Artifacts are keyed by a SplitMix64-based hash of their {e inputs}
+    Artifacts are keyed by a {!Hash} digest of their {e inputs}
     (evolution seed, scale record, version/config, codec version), grouped
     into namespaces ([surface], [image], [diff], [obj], [matrix]), and
     written as framed binary files — magic, format version, namespace,
@@ -16,7 +16,11 @@
     recomputed. A damaged cache can cost time, never correctness. *)
 
 (** Incremental hasher for deriving artifact keys from their inputs.
-    Two independent FNV-1a lanes finished by the SplitMix64 mixer; every
+    Two lanes that each absorb one 64-bit word per round (an
+    xxHash64-style multiply-rotate-multiply, bijective in the lane and
+    injective in the word), finished by the SplitMix64 mixer. A string
+    is absorbed as its length, its little-endian words, then its tail
+    packed into one word; an [int], [int64] or [float] is one word. Every
     field is length- or width-delimited, so ["ab"+"c"] and ["a"+"bc"]
     hash differently. *)
 module Hash : sig
@@ -48,6 +52,14 @@ module Frame : sig
       trailing bytes follow; anything else is [Corrupt reason]. *)
 
   val checksum : string -> int64
+  (** The first lane of {!Hash} over the payload, SplitMix64-finished.
+      Two payloads of equal length that differ in one 64-bit word never
+      share a checksum. *)
+
+  val format_version : int
+  (** Written into every frame; a frame of any other version is
+      [Corrupt]. Bumped whenever {!checksum} or the {!Hash} digests
+      change, since every stored key and checksum changes with them. *)
 end
 
 type t

@@ -20,6 +20,10 @@ val split : t -> string -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val mix64 : int64 -> int64
+(** The SplitMix64 finalizer: a bijection of 64-bit values in which each
+    input bit avalanches across the output. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 

@@ -242,7 +242,9 @@ let health_of diags =
   | Some Diag.Degraded -> "degraded"
   | Some Diag.Fatal -> "fatal"
 
+(* under the registry lock: concurrent ingests share the table *)
 let base_ref t base_name surface =
+  locked t @@ fun () ->
   match Hashtbl.find_opt t.w_base_refs base_name with
   | Some d -> d
   | None ->
@@ -276,30 +278,25 @@ let next_surface t payload =
       | o -> Ok (Diag.ok o)
       | exception _ -> Error "image extraction failed")
 
-(* the delta for (base, payload) — warm when the store already holds it,
-   in which case no surface is extracted at all *)
-let delta_bytes t ~base_name ~base_surface ~name payload =
+(* the delta for (base, payload), decoded once — warm when the store
+   already holds it, in which case no surface is extracted at all. A
+   stored delta that does not decode is evicted by the store and
+   recomputed. *)
+let delta t ~base_name ~base_ref ~base_surface ~name payload =
   let key =
     Dataset.cache_key t.w_ds ~label:"delta"
       [ base_name; name; payload_digest payload; string_of_int Delta.codec_version ]
   in
   let store = Dataset.store t.w_ds in
-  let cached =
-    Option.bind store (fun s ->
-        Store.find s ~ns:Delta.ns ~key ~decode:(fun bytes ->
-            ignore (Delta.decode bytes);
-            bytes))
-  in
-  match cached with
-  | Some bytes -> Ok (bytes, true)
+  match Option.bind store (fun s -> Store.find s ~ns:Delta.ns ~key ~decode:Delta.decode) with
+  | Some d -> Ok (d, true)
   | None -> (
       match next_surface t payload with
       | Error _ as e -> e
       | Ok next ->
-          let d = Delta.diff_surfaces ~base:base_surface next in
-          let bytes = Delta.encode d in
-          Option.iter (fun s -> Store.add s ~ns:Delta.ns ~key bytes) store;
-          Ok (bytes, false))
+          let d = Delta.diff_surfaces ~base_ref ~base:base_surface next in
+          Option.iter (fun s -> Store.add s ~ns:Delta.ns ~key (Delta.encode d)) store;
+          Ok (d, false))
 
 let ingest t ~base ~name payload =
   Ds_trace.Trace.span ~name:"watch.ingest"
@@ -312,81 +309,79 @@ let ingest t ~base ~name payload =
     let v, cfg = base in
     let base_name = image_name base in
     let base_surface = Dataset.surface t.w_ds v cfg in
-    match delta_bytes t ~base_name ~base_surface ~name payload with
+    let base_ref = base_ref t base_name base_surface in
+    match delta t ~base_name ~base_ref ~base_surface ~name payload with
     | Error _ as e -> e
-    | Ok (bytes, warm) -> (
-        match Delta.decode bytes with
-        | exception _ -> Error "corrupt delta entry"
-        | d ->
-            if d.Delta.dl_base_ref <> base_ref t base_name base_surface then
-              Error "delta does not reference the requested base"
+    | Ok (d, warm) ->
+        if d.Delta.dl_base_ref <> base_ref then
+          Error "delta does not reference the requested base"
+        else begin
+          let changed = Delta.changed_deps d in
+          let diff = Delta.to_diff ~base:base_surface d in
+          let subs_now = locked t (fun () -> t.w_subs) in
+          let matched =
+            if changed = [] || subs_now = [] then []
             else begin
-              let changed = Delta.changed_deps d in
-              let diff = Delta.to_diff ~base:base_surface d in
-              let subs_now = locked t (fun () -> t.w_subs) in
-              let matched =
-                if changed = [] || subs_now = [] then []
-                else begin
-                  let g = Graph.of_dataset ?pool:t.w_pool t.w_ds v cfg in
-                  let tbl = Blast.hit_set g ~changed in
-                  (* a directly-changed construct always hits, even when
-                     it is not a node of the dependency graph *)
-                  List.iter (fun dep -> Hashtbl.replace tbl dep ()) changed;
-                  List.filter_map
-                    (fun s ->
-                      match List.filter (Hashtbl.mem tbl) s.sb_deps with
-                      | [] -> None
-                      | hits -> Some (s, hits))
-                    subs_now
-                end
-              in
-              let now = Unix.gettimeofday () in
-              let direct = Hashtbl.create 64 in
-              List.iter (fun dep -> Hashtbl.replace direct dep ()) changed;
-              let reason_of dep =
-                if Hashtbl.mem direct dep then
-                  let removed, reasons = Blast.fate diff dep in
-                  if removed then Depset.dep_to_string dep ^ ": removed"
-                  else if reasons <> [] then
-                    Depset.dep_to_string dep ^ ": " ^ String.concat "; " reasons
-                  else Depset.dep_to_string dep ^ ": changed"
-                else Depset.dep_to_string dep ^ ": transitively affected"
-              in
-              let events =
-                locked t (fun () ->
-                    let evs =
-                      List.map
-                        (fun (s, hits) ->
-                          let seq = t.w_next_seq in
-                          t.w_next_seq <- t.w_next_seq + 1;
-                          {
-                            ev_seq = seq;
-                            ev_sub = s.sb_id;
-                            ev_release = name;
-                            ev_base = base_name;
-                            ev_hits = hits;
-                            ev_reasons = List.map reason_of hits;
-                            ev_time = now;
-                          })
-                        matched
-                    in
-                    t.w_events <- List.rev_append evs t.w_events;
-                    if evs <> [] then persist t;
-                    evs)
-              in
-              m_incr ~by:(List.length events) t "watch.events";
-              let listeners = locked t (fun () -> t.w_listeners) in
-              if events <> [] then List.iter (fun f -> f ()) listeners;
-              Ok
-                {
-                  ig_release = name;
-                  ig_base = base_name;
-                  ig_warm = warm;
-                  ig_ops = Delta.counts d;
-                  ig_health = health_of d.Delta.dl_health;
-                  ig_events = events;
-                }
-            end)
+              let g = Graph.of_dataset ?pool:t.w_pool t.w_ds v cfg in
+              let tbl = Blast.hit_set g ~changed in
+              (* a directly-changed construct always hits, even when
+                 it is not a node of the dependency graph *)
+              List.iter (fun dep -> Hashtbl.replace tbl dep ()) changed;
+              List.filter_map
+                (fun s ->
+                  match List.filter (Hashtbl.mem tbl) s.sb_deps with
+                  | [] -> None
+                  | hits -> Some (s, hits))
+                subs_now
+            end
+          in
+          let now = Unix.gettimeofday () in
+          let direct = Hashtbl.create 64 in
+          List.iter (fun dep -> Hashtbl.replace direct dep ()) changed;
+          let reason_of dep =
+            if Hashtbl.mem direct dep then
+              let removed, reasons = Blast.fate diff dep in
+              if removed then Depset.dep_to_string dep ^ ": removed"
+              else if reasons <> [] then
+                Depset.dep_to_string dep ^ ": " ^ String.concat "; " reasons
+              else Depset.dep_to_string dep ^ ": changed"
+            else Depset.dep_to_string dep ^ ": transitively affected"
+          in
+          let events =
+            locked t (fun () ->
+                let evs =
+                  List.map
+                    (fun (s, hits) ->
+                      let seq = t.w_next_seq in
+                      t.w_next_seq <- t.w_next_seq + 1;
+                      {
+                        ev_seq = seq;
+                        ev_sub = s.sb_id;
+                        ev_release = name;
+                        ev_base = base_name;
+                        ev_hits = hits;
+                        ev_reasons = List.map reason_of hits;
+                        ev_time = now;
+                      })
+                    matched
+                in
+                t.w_events <- List.rev_append evs t.w_events;
+                if evs <> [] then persist t;
+                evs)
+          in
+          m_incr ~by:(List.length events) t "watch.events";
+          let listeners = locked t (fun () -> t.w_listeners) in
+          if events <> [] then List.iter (fun f -> f ()) listeners;
+          Ok
+            {
+              ig_release = name;
+              ig_base = base_name;
+              ig_warm = warm;
+              ig_ops = Delta.counts d;
+              ig_health = health_of d.Delta.dl_health;
+              ig_events = events;
+            }
+        end
   end
 
 (* ---- JSON views ----------------------------------------------------- *)

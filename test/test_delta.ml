@@ -39,6 +39,9 @@ let check_identity name base next =
   let d = Delta.diff_surfaces ~base next in
   let wire = Delta.encode d in
   let d' = Delta.decode wire in
+  (* a cold watch ingest uses the delta it computed, a warm one the
+     decoded entry: both must be the same value *)
+  Alcotest.(check bool) (name ^ ": decode inverts encode") true (d' = d);
   let rebuilt = Delta.apply ~base d' in
   Alcotest.(check bool)
     (name ^ ": byte-identical reconstruction")

@@ -78,6 +78,64 @@ let test_hash_one_shot () =
         (Store.Hash.digest s))
     [ ""; "a"; "abc"; String.make 255 '\xff'; String.init 70_000 (fun i -> Char.chr (i land 0xFF)) ]
 
+(* A flip of bit 63 in two words cancels under a plain per-word
+   [(h xor w) * p] round, since a multiply only carries bits upward;
+   two bodies differing that way would share an ETag. *)
+let test_hash_top_bit_pair () =
+  let x = String.init 64 (fun i -> Char.chr ((i * 37) land 0xFF)) in
+  let b = Bytes.of_string x in
+  List.iter (fun i -> Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x80))) [ 7; 15 ];
+  let y = Bytes.to_string b in
+  Alcotest.(check bool) "digest differs" true (Store.Hash.digest x <> Store.Hash.digest y);
+  Alcotest.(check bool) "checksum differs" true (Store.Frame.checksum x <> Store.Frame.checksum y)
+
+let test_hash_tail_packing () =
+  Alcotest.(check bool) "a vs a\\000" true (Store.Hash.digest "a" <> Store.Hash.digest "a\000");
+  Alcotest.(check bool) "tail byte order" true (Store.Hash.digest "ab" <> Store.Hash.digest "ba")
+
+(* The hash is part of the on-disk format: every stored checksum and
+   key changes with it. Changing the function means editing these
+   vectors and bumping [Frame.format_version] together. *)
+let test_hash_known_answers () =
+  Alcotest.(check int) "frame format version" 2 Store.Frame.format_version;
+  let s64 = String.init 64 Char.chr in
+  List.iter
+    (fun (s, digest, checksum) ->
+      let name = Printf.sprintf "%d bytes" (String.length s) in
+      Alcotest.(check string) ("digest of " ^ name) digest (Store.Hash.digest s);
+      Alcotest.(check int64) ("checksum of " ^ name) checksum (Store.Frame.checksum s))
+    [
+      ("", "d5f5375dc20822fb5159f3d90ecf1800", 0xd5f5375dc20822fbL);
+      ("a", "fc9f434e809584820e6a6bba6363f60d", 0xfc9f434e80958482L);
+      ("abc", "0db102fb1645db46390d6ca236608327", 0x0db102fb1645db46L);
+      (s64, "cc29b6d4572293e187b9679724bda9f4", 0xcc29b6d4572293e1L);
+    ];
+  Alcotest.(check string) "mixed feed" "22d3ed814cc99fa490a55f107a4eda90"
+    (digest (fun h ->
+         Store.Hash.string h "surface";
+         Store.Hash.int h 42;
+         Store.Hash.int64 h 57427189485L;
+         Store.Hash.float h 0.04))
+
+(* Any single differing word, the packed tail included, must change the
+   checksum: the round is injective in the word and bijective in the
+   lane. [mask] is xored into the chosen word's bytes. *)
+let qcheck_word_flip =
+  QCheck.Test.make ~name:"strings differing in one word never share a checksum" ~count:500
+    QCheck.(triple (string_of_size (QCheck.Gen.int_range 1 200)) small_nat int64)
+    (fun (s, word, mask) ->
+      let n = String.length s in
+      let start = word mod ((n + 7) / 8) * 8 in
+      let len = min 8 (n - start) in
+      let keep = if len = 8 then -1L else Int64.(sub (shift_left 1L (8 * len)) 1L) in
+      let mask = match Int64.logand mask keep with 0L -> 1L | m -> m in
+      let b = Bytes.of_string s in
+      for j = 0 to len - 1 do
+        let m = Int64.(to_int (logand (shift_right_logical mask (8 * j)) 0xFFL)) in
+        Bytes.set b (start + j) (Char.chr (Char.code (Bytes.get b (start + j)) lxor m))
+      done;
+      Store.Frame.checksum s <> Store.Frame.checksum (Bytes.to_string b))
+
 (* ------------------------------------------------------------------ *)
 (* Frame                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -422,6 +480,10 @@ let suites =
         Alcotest.test_case "determinism" `Quick test_hash_determinism;
         Alcotest.test_case "separation" `Quick test_hash_separation;
         Alcotest.test_case "one-shot digest" `Quick test_hash_one_shot;
+        Alcotest.test_case "top-bit flip in two words" `Quick test_hash_top_bit_pair;
+        Alcotest.test_case "tail packing" `Quick test_hash_tail_packing;
+        Alcotest.test_case "known answers" `Quick test_hash_known_answers;
+        QCheck_alcotest.to_alcotest qcheck_word_flip;
       ] );
     ( "store.frame",
       [

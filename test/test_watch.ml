@@ -127,6 +127,40 @@ let test_ingest_image_warm_path () =
       Alcotest.(check int) "zero extractions on fresh handle" 0 (Watch.extractions w2)
   | Error m -> Alcotest.fail ("cross-handle ingest failed: " ^ m)
 
+(* a stored delta whose frame is intact but whose payload does not
+   decode is evicted and recomputed, never an ingest error *)
+let test_undecodable_delta_recomputed () =
+  let ds = store_ds () in
+  let store = Option.get (Dataset.store ds) in
+  let dir = Store.dir store in
+  let w = Watch.create ds in
+  let base = Lazy.force base_surface in
+  let victim = (List.hd base.Surface.s_funcs).Surface.fe_name in
+  let sub = Watch.subscribe w [ Depset.Dep_func victim ] in
+  let payload = `Surface (Codec.encode_surface (drop_func base victim)) in
+  let ingest () =
+    match Watch.ingest w ~base:base_img ~name:"r5" payload with
+    | Ok r -> r
+    | Error m -> Alcotest.fail ("ingest failed: " ^ m)
+  in
+  let cold = ingest () in
+  (match List.filter (fun e -> e.Store.e_ns = Delta.ns) (Store.entries ~dir) with
+  | [ e ] ->
+      let path = Filename.concat (Filename.concat dir e.Store.e_ns) (e.Store.e_key ^ ".dsa") in
+      let oc = open_out_bin path in
+      output_string oc (Store.Frame.encode ~ns:Delta.ns "not a delta");
+      close_out oc
+  | es -> Alcotest.failf "expected one delta entry, found %d" (List.length es));
+  let evictions = (Store.stats store).Store.c_evictions in
+  let again = ingest () in
+  Alcotest.(check bool) "recomputed, not warm" false again.Watch.ig_warm;
+  Alcotest.(check int) "entry evicted" (evictions + 1) (Store.stats store).Store.c_evictions;
+  Alcotest.(check bool) "same ops" true (again.Watch.ig_ops = cold.Watch.ig_ops);
+  Alcotest.(check (list string)) "same subscriptions hit"
+    [ sub.Watch.sb_id ]
+    (List.map (fun e -> e.Watch.ev_sub) again.Watch.ig_events);
+  Alcotest.(check bool) "warm after the rewrite" true (ingest ()).Watch.ig_warm
+
 let test_transitive_hit () =
   let ds = Lazy.force ds in
   let w = Watch.create ds in
@@ -229,6 +263,8 @@ let suites =
           test_subscribe_content_addressed;
         Alcotest.test_case "surface ingest records events" `Quick test_ingest_surface_events;
         Alcotest.test_case "image ingest warm path" `Quick test_ingest_image_warm_path;
+        Alcotest.test_case "undecodable delta recomputed" `Quick
+          test_undecodable_delta_recomputed;
         Alcotest.test_case "transitive graph hit" `Quick test_transitive_hit;
         Alcotest.test_case "persistence across handles" `Quick test_persistence;
         Alcotest.test_case "ingest errors" `Quick test_ingest_errors;
