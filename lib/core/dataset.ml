@@ -52,9 +52,9 @@ let store t = t.store
 
 let compile_count t = Par.Memo.length t.models
 
-let cache_key t ~label parts =
+let cache_key ?(version = Codec_base.version) t ~label parts =
   let h = Store.Hash.create () in
-  Store.Hash.int h Codec_base.version;
+  Store.Hash.int h version;
   Store.Hash.int64 h t.seed;
   Store.Hash.float h t.scale.Calibration.sc_funcs;
   Store.Hash.float h t.scale.Calibration.sc_structs;

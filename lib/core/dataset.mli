@@ -29,10 +29,13 @@ val compile_count : t -> int
 (** How many kernel models this process actually compiled (cache hits
     don't compile); the bench asserts this is 0 on a warm run. *)
 
-val cache_key : t -> label:string -> string list -> string
-(** [cache_key t ~label parts]: a store key binding the codec version,
-    evolution seed, scale record, [label] and [parts] — everything the
-    artifact's content is a function of. Shaped [label ^ "-" ^ digest]. *)
+val cache_key : ?version:int -> t -> label:string -> string list -> string
+(** [cache_key t ~label parts]: a store key binding the payload format
+    [version] ({!Codec.version} unless given), evolution seed, scale
+    record, [label] and [parts] — everything the artifact's content is a
+    function of. Shaped [label ^ "-" ^ digest]. A payload not written by
+    {!Codec} passes its own format's version, so a codec change does not
+    orphan it. *)
 
 val source : t -> Version.t -> Source.t
 (** O(1): served from a [Hashtbl] index built over the history at

@@ -3,7 +3,7 @@ open Ds_ksrc
 module W = Bytesio.Writer
 module R = Bytesio.Reader
 
-let codec_version = 1
+let codec_version = 2
 let ns = "delta"
 
 type 'e op = Add of 'e | Remove of string | Change of 'e
@@ -87,70 +87,75 @@ let diff_surfaces ?base_ref ~base (next : Surface.t) =
 
 (* ------------------------------ framing ------------------------------ *)
 
-let w_op w_entry w = function
-  | Add e ->
-      W.u8 w 0;
-      w_entry w e
+let w_op w_entry e = function
+  | Add x ->
+      W.u8 e.Codec_base.e_body 0;
+      w_entry e x
   | Remove n ->
-      W.u8 w 1;
-      Codec_base.w_str w n
-  | Change e ->
-      W.u8 w 2;
-      w_entry w e
+      W.u8 e.Codec_base.e_body 1;
+      Codec_base.e_str e n
+  | Change x ->
+      W.u8 e.Codec_base.e_body 2;
+      w_entry e x
 
-let r_op r_entry r =
-  match R.u8 r with
-  | 0 -> Add (r_entry r)
-  | 1 -> Remove (Codec_base.r_str r)
-  | 2 -> Change (r_entry r)
+let r_op r_entry d =
+  match R.u8 d.Codec_base.d_r with
+  | 0 -> Add (r_entry d)
+  | 1 -> Remove (Codec_base.d_str d)
+  | 2 -> Change (r_entry d)
   | n -> Codec_base.fail "delta op tag %d" n
 
-let encode d =
+(* the version precedes the tables, so a payload of another delta format
+   is refused before anything else is read *)
+let encode =
   let open Codec_base in
-  let w = W.create () in
-  W.uleb128 w codec_version;
-  w_str w d.dl_base_ref;
-  w_version w d.dl_version;
-  W.u8 w (arch_tag d.dl_arch);
-  W.u8 w (flavor_tag d.dl_flavor);
-  W.uleb128 w (fst d.dl_gcc);
-  W.uleb128 w (snd d.dl_gcc);
-  w_list w w_diag d.dl_health;
-  w_list w (w_op w_func_entry) d.dl_funcs;
-  w_list w (w_op w_struct_def) d.dl_structs;
-  w_list w (w_op w_tp_entry) d.dl_tracepoints;
-  w_list w (w_op w_str) d.dl_syscalls;
-  W.contents w
+  encode_payload
+    ~prefix:(fun w -> W.uleb128 w codec_version)
+    (fun e d ->
+      let w = e.e_body in
+      e_str e d.dl_base_ref;
+      w_version w d.dl_version;
+      W.u8 w (arch_tag d.dl_arch);
+      W.u8 w (flavor_tag d.dl_flavor);
+      W.uleb128 w (fst d.dl_gcc);
+      W.uleb128 w (snd d.dl_gcc);
+      e_list e w_diag d.dl_health;
+      e_list e (w_op w_func_entry) d.dl_funcs;
+      e_list e (w_op w_struct_def) d.dl_structs;
+      e_list e (w_op w_tp_entry) d.dl_tracepoints;
+      e_list e (w_op e_str) d.dl_syscalls)
 
-let decode data =
+let decode =
   let open Codec_base in
-  let r = R.of_string data in
-  let v = R.uleb128 r in
-  if v <> codec_version then fail "delta codec version %d (expected %d)" v codec_version;
-  let dl_base_ref = r_str r in
-  let dl_version = r_version r in
-  let dl_arch = arch_of_tag (R.u8 r) in
-  let dl_flavor = flavor_of_tag (R.u8 r) in
-  let gcc_major = R.uleb128 r in
-  let gcc_minor = R.uleb128 r in
-  let dl_health = r_list r r_diag in
-  let dl_funcs = r_list r (r_op r_func_entry) in
-  let dl_structs = r_list r (r_op r_struct_def) in
-  let dl_tracepoints = r_list r (r_op r_tp_entry) in
-  let dl_syscalls = r_list r (r_op r_str) in
-  expect_eof r;
-  {
-    dl_base_ref;
-    dl_version;
-    dl_arch;
-    dl_flavor;
-    dl_gcc = (gcc_major, gcc_minor);
-    dl_health;
-    dl_funcs;
-    dl_structs;
-    dl_tracepoints;
-    dl_syscalls;
-  }
+  decode_payload
+    ~prefix:(fun r ->
+      let v = R.uleb128 r in
+      if v <> codec_version then fail "delta codec version %d (expected %d)" v codec_version)
+    (fun d ->
+      let r = d.d_r in
+      let dl_base_ref = d_str d in
+      let dl_version = r_version r in
+      let dl_arch = arch_of_tag (R.u8 r) in
+      let dl_flavor = flavor_of_tag (R.u8 r) in
+      let gcc_major = R.uleb128 r in
+      let gcc_minor = R.uleb128 r in
+      let dl_health = d_list d r_diag in
+      let dl_funcs = d_list d (r_op r_func_entry) in
+      let dl_structs = d_list d (r_op r_struct_def) in
+      let dl_tracepoints = d_list d (r_op r_tp_entry) in
+      let dl_syscalls = d_list d (r_op d_str) in
+      {
+        dl_base_ref;
+        dl_version;
+        dl_arch;
+        dl_flavor;
+        dl_gcc = (gcc_major, gcc_minor);
+        dl_health;
+        dl_funcs;
+        dl_structs;
+        dl_tracepoints;
+        dl_syscalls;
+      })
 
 (* ------------------------------ applying ----------------------------- *)
 

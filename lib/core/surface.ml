@@ -32,10 +32,12 @@ type tp_entry = {
   te_func : Decl.func_decl option;
 }
 
+(* the entry lists again as name-sorted arrays: a lookup is a binary
+   search *)
 type index = {
-  ix_funcs : func_entry Smap.t;
-  ix_structs : Decl.struct_def Smap.t;
-  ix_tracepoints : tp_entry Smap.t;
+  ix_funcs : func_entry array;
+  ix_structs : Decl.struct_def array;
+  ix_tracepoints : tp_entry array;
   ix_syscalls : (string, unit) Hashtbl.t;
 }
 
@@ -52,6 +54,42 @@ type t = {
   s_health : Diag.t list;
   s_index : index;
 }
+
+let fe_key f = f.fe_name
+let st_key (s : Decl.struct_def) = s.sname
+let tp_key tp = tp.te_name
+
+(* a stable sort by name, skipped when one linear pass finds the list
+   already sorted (the codec and the extractor both hand over sorted
+   lists) *)
+let sorted_by key l =
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> String.compare (key a) (key b) <= 0 && sorted rest
+    | _ -> true
+  in
+  if sorted l then l else List.stable_sort (fun a b -> String.compare (key a) (key b)) l
+
+(* expects name-sorted lists *)
+let make_index ~funcs ~structs ~tracepoints ~syscalls =
+  {
+    ix_funcs = Array.of_list funcs;
+    ix_structs = Array.of_list structs;
+    ix_tracepoints = Array.of_list tracepoints;
+    ix_syscalls =
+      (let tbl = Hashtbl.create 64 in
+       List.iter (fun sc -> Hashtbl.replace tbl sc ()) syscalls;
+       tbl);
+  }
+
+(* the last entry named [name]: among duplicates the last one wins, as
+   the last binding added to a map would *)
+let find_sorted key arr name =
+  let lo = ref 0 and hi = ref (Array.length arr) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if String.compare (key arr.(mid)) name <= 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo > 0 && String.equal (key arr.(!lo - 1)) name then Some arr.(!lo - 1) else None
 
 let is_tracing_func name = String.starts_with ~prefix:"trace_event_raw_event_" name
 let is_event_struct name =
@@ -157,21 +195,10 @@ let assemble (k : Ds_bpf.Vmlinux.t) ~cus ~env ~btf_funcs ~structs ~health =
         })
       k.Ds_bpf.Vmlinux.v_tracepoints
   in
-  let tracepoints =
-    List.sort (fun a b -> compare a.te_name b.te_name) tracepoints
-  in
+  let tracepoints = sorted_by tp_key tracepoints in
+  let structs = sorted_by st_key structs in
   let index =
-    {
-      ix_funcs = List.fold_left (fun m f -> Smap.add f.fe_name f m) Smap.empty funcs;
-      ix_structs =
-        List.fold_left (fun m (s : Decl.struct_def) -> Smap.add s.sname s m) Smap.empty structs;
-      ix_tracepoints =
-        List.fold_left (fun m tp -> Smap.add tp.te_name tp m) Smap.empty tracepoints;
-      ix_syscalls =
-        (let tbl = Hashtbl.create 64 in
-         List.iter (fun s -> Hashtbl.replace tbl s ()) k.Ds_bpf.Vmlinux.v_syscalls;
-         tbl);
-    }
+    make_index ~funcs ~structs ~tracepoints ~syscalls:k.Ds_bpf.Vmlinux.v_syscalls
   in
   {
     s_version = k.Ds_bpf.Vmlinux.v_version;
@@ -259,22 +286,10 @@ let of_vmlinux_lenient ?(health = []) (k : Ds_bpf.Vmlinux.t) =
     ~health:(health @ dwarf_diags @ btf_diags @ fallback_diags)
 
 let v ~version ~arch ~flavor ~gcc ~funcs ~structs ~tracepoints ~syscalls =
-  let funcs = List.sort (fun a b -> compare a.fe_name b.fe_name) funcs in
-  let structs = List.sort (fun (a : Decl.struct_def) b -> compare a.sname b.sname) structs in
-  let tracepoints = List.sort (fun a b -> compare a.te_name b.te_name) tracepoints in
-  let index =
-    {
-      ix_funcs = List.fold_left (fun m f -> Smap.add f.fe_name f m) Smap.empty funcs;
-      ix_structs =
-        List.fold_left (fun m (st : Decl.struct_def) -> Smap.add st.sname st m) Smap.empty structs;
-      ix_tracepoints =
-        List.fold_left (fun m tp -> Smap.add tp.te_name tp m) Smap.empty tracepoints;
-      ix_syscalls =
-        (let tbl = Hashtbl.create 64 in
-         List.iter (fun sc -> Hashtbl.replace tbl sc ()) syscalls;
-         tbl);
-    }
-  in
+  let funcs = sorted_by fe_key funcs in
+  let structs = sorted_by st_key structs in
+  let tracepoints = sorted_by tp_key tracepoints in
+  let index = make_index ~funcs ~structs ~tracepoints ~syscalls in
   {
     s_version = version;
     s_arch = arch;
@@ -332,15 +347,15 @@ let tag t =
     (Config.arch_to_string t.s_arch)
     (Config.flavor_to_string t.s_flavor)
 
-let find_func t name = Smap.find_opt name t.s_index.ix_funcs
-let find_struct t name = Smap.find_opt name t.s_index.ix_structs
+let find_func t name = find_sorted fe_key t.s_index.ix_funcs name
+let find_struct t name = find_sorted st_key t.s_index.ix_structs name
 
 let find_field t sname fname =
   match find_struct t sname with
   | None -> None
   | Some s -> List.find_opt (fun (f : Decl.field) -> f.fname = fname) s.Decl.fields
 
-let find_tracepoint t name = Smap.find_opt name t.s_index.ix_tracepoints
+let find_tracepoint t name = find_sorted tp_key t.s_index.ix_tracepoints name
 let has_syscall t name = Hashtbl.mem t.s_index.ix_syscalls name
 
 let representative_proto fe =

@@ -37,7 +37,8 @@ type tp_entry = {
 }
 
 type index
-(** Precomputed name→entry maps; lookups below are logarithmic. *)
+(** Precomputed name-sorted entry arrays; lookups below are logarithmic
+    binary searches, and among entries of one name the last wins. *)
 
 type t = {
   s_version : Version.t;
@@ -67,8 +68,9 @@ val v :
   syscalls:string list ->
   t
 (** Assemble a surface from parts (building the index); used by the
-    dataset-JSON importer. Lists are sorted by name; health is empty
-    (use {!with_health}). *)
+    dataset-JSON importer and the codec. Lists are stably sorted by name,
+    a linear check first so that sorted input is not sorted again;
+    health is empty (use {!with_health}). *)
 
 val with_health : Ds_util.Diag.t list -> t -> t
 

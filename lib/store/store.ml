@@ -227,7 +227,9 @@ let find t ~ns ~key ~decode =
           Ds_trace.Trace.set_attr "outcome" "evict";
           None
       | Frame.Ok payload -> (
-          match decode payload with
+          (* its own span, so [store.find]'s self time is the read and
+             the frame checksum alone *)
+          match Ds_trace.Trace.span ~name:"store.decode" (fun () -> decode payload) with
           | v ->
               Atomic.incr t.hits;
               ignore (Atomic.fetch_and_add t.bytes_read (String.length data));

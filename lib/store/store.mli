@@ -86,7 +86,8 @@ val dir : t -> string
 val find : t -> ns:string -> key:string -> decode:(string -> 'a) -> 'a option
 (** Cache lookup. [None] on a missing entry, and on a corrupt or
     undecodable one (which is logged and evicted first). Counts one hit,
-    miss or eviction. *)
+    miss or eviction. Traced as a [store.find] span whose child
+    [store.decode] span runs [decode]. *)
 
 val add : t -> ns:string -> key:string -> string -> unit
 (** Frame and persist a payload (temp file + atomic rename). *)

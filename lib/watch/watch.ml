@@ -128,7 +128,10 @@ let encode_state t =
   Prim.w_list w w_event t.w_events;
   W.contents w
 
-let state_key ds = Dataset.cache_key ds ~label:"watch-state" [ string_of_int state_version ]
+(* the state is [Prim]-encoded, so its key binds [state_version] and not
+   the codec's version: a codec change must not orphan the subscriptions,
+   the events and the cursor *)
+let state_key ds = Dataset.cache_key ~version:state_version ds ~label:"watch-state" []
 
 (* rewrite-in-place on every mutation: the registry is small (the event
    log is pruned with its subscription) and the store's atomic rename

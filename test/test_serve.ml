@@ -1344,6 +1344,58 @@ let test_watch_poll_immediate () =
   Alcotest.(check int) "past cursor: 204" 204 st
 
 
+(* [payload] with the last entry of its string table cut out: the body
+   still refers to that string, by an index now past the table *)
+let drop_last_string payload =
+  let module R = Ds_util.Bytesio.Reader in
+  let module W = Ds_util.Bytesio.Writer in
+  let r = R.of_string payload in
+  let n = R.uleb128 r in
+  let first = R.pos r in
+  let last = ref first in
+  for _ = 1 to n do
+    last := R.pos r;
+    ignore (R.bytes r (R.uleb128 r))
+  done;
+  let rest = R.pos r in
+  let w = W.create () in
+  W.uleb128 w (n - 1);
+  W.bytes w (String.sub payload first (!last - first));
+  W.bytes w (String.sub payload rest (String.length payload - rest));
+  W.contents w
+
+let test_watch_ingest_malformed () =
+  with_server @@ fun t _ ->
+  let _, _, body = post t "/v1/subscriptions" {|{"deps": ["func:vfs_read"]}|} in
+  let id = member_str "id" (payload body) in
+  let cursor () =
+    let _, _, body = get t "/v1/subscriptions" in
+    match Json.member "cursor" (payload body) with
+    | Some (Json.Int c) -> c
+    | _ -> Alcotest.fail "no cursor"
+  in
+  let before = cursor () in
+  (* well-formed, this release would match: it drops vfs_read *)
+  let base = Dataset.surface (Lazy.force ds) (Version.v 5 4) Config.x86_generic in
+  let next =
+    Surface.v ~version:base.Surface.s_version ~arch:base.Surface.s_arch
+      ~flavor:base.Surface.s_flavor ~gcc:base.Surface.s_gcc
+      ~funcs:(List.filter (fun f -> f.Surface.fe_name <> "vfs_read") base.Surface.s_funcs)
+      ~structs:base.Surface.s_structs ~tracepoints:base.Surface.s_tracepoints
+      ~syscalls:base.Surface.s_syscalls
+  in
+  let st, _, ibody =
+    post t "/v1/watch/ingest?base=5.4-x86-generic&name=bad&kind=surface"
+      (drop_last_string (Codec.encode_surface next))
+  in
+  Alcotest.(check int) "out-of-range string index: 400" 400 st;
+  Alcotest.(check bool) "says the payload is undecodable" true
+    (Ds_util.Strutil.find_sub ibody ~sub:"undecodable surface payload" <> None);
+  let st, _, _ = get t ("/v1/watch/" ^ id ^ "?since=0") in
+  Alcotest.(check int) "no events: 204" 204 st;
+  Alcotest.(check int) "cursor unchanged" before (cursor ())
+
+
 (* ---- long-poll parking over real sockets ---------------------------- *)
 
 (* a release surface with the named func dropped, as codec bytes — the
@@ -1475,6 +1527,7 @@ let suites =
         Alcotest.test_case "no-legacy-routes 404" `Quick test_no_legacy_routes;
         Alcotest.test_case "client-keyed memory bounded" `Slow test_client_keyed_memory_bounded;
         Alcotest.test_case "watch poll" `Quick test_watch_poll_immediate;
+        Alcotest.test_case "watch ingest malformed surface" `Quick test_watch_ingest_malformed;
       ] );
     ( "serve.socket",
       [

@@ -226,6 +226,18 @@ let test_persistence () =
   Alcotest.(check bool) "gone after reopen" true (Watch.find_sub w2 id = None);
   Alcotest.(check int) "events pruned" 0 (List.length (Watch.events_after w2 ~sub:id ~since:0))
 
+(* The state is primary data, so its store key must not move when the
+   surface codec's version does (a moved key silently orphans every
+   subscription, event and the cursor). Pinned as a literal: a change
+   here is a state loss for every deployed store, to be made on purpose. *)
+let test_state_key_stable () =
+  let dir = fresh_dir () in
+  let ds = Dataset.build ~seed:Testenv.seed ~store:(Store.open_ ~dir ()) Calibration.test_scale in
+  ignore (Watch.subscribe (Watch.create ds) [ Depset.Dep_func "vfs_read" ]);
+  match List.filter (fun e -> e.Store.e_ns = "watch") (Store.entries ~dir) with
+  | [ e ] -> Alcotest.(check string) "watch state key" "watch-state-ae1a1ab9ca32751ce5553b8ec648597f" e.Store.e_key
+  | l -> Alcotest.failf "expected one watch entry, found %d" (List.length l)
+
 let test_ingest_errors () =
   let w = Watch.create (Lazy.force ds) in
   (match Watch.ingest w ~base:(Version.v 9 9, Config.x86_generic) ~name:"x" (`Surface "") with
@@ -267,6 +279,8 @@ let suites =
           test_undecodable_delta_recomputed;
         Alcotest.test_case "transitive graph hit" `Quick test_transitive_hit;
         Alcotest.test_case "persistence across handles" `Quick test_persistence;
+        Alcotest.test_case "state key independent of the codec" `Quick
+          test_state_key_stable;
         Alcotest.test_case "ingest errors" `Quick test_ingest_errors;
         Alcotest.test_case "on_change listener" `Quick test_on_change_listener;
       ] );
