@@ -1,7 +1,9 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation from the synthetic 25-image dataset, then runs
-   Bechamel micro-benchmarks for the §3.4 performance claims, plus the
-   ablations called out in DESIGN.md.
+(* The paper harness: regenerates every table and figure of the paper's
+   evaluation from the synthetic 25-image dataset, plus the ablations
+   called out in DESIGN.md, then runs Bechamel micro-benchmarks for the
+   §3.4 performance claims and the 5% tracing-overhead gate. Throughput
+   and latency of the pipeline, the store and the server are measured by
+   bench/perf, not here.
 
    Counts are at the calibrated bench scale (≈1/25 of the real kernel for
    functions); all percentages are scale-invariant and are the numbers to
@@ -19,120 +21,24 @@ let scale =
   | Some "test" -> Calibration.test_scale
   | _ -> Calibration.bench_scale
 
-(* jobs=1 vs jobs=N pipeline comparison; N from DEPSURF_JOBS/cores, but
-   at least 4 so the pool machinery is always exercised *)
-let par_jobs =
-  let n = Par.default_jobs () in
-  if n > 1 then n else 4
-
 let now = Unix.gettimeofday
 let time f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
 
-(* Persistent artifact store on a fresh directory: the main (cold) run
-   populates it, the store-timing section replays the pipeline warm from
-   it. A pre-existing DEPSURF_CACHE reuses that directory instead (so a
-   second bench invocation is itself warm). *)
-module Store = Ds_store.Store
-
-let cache_dir =
-  match Sys.getenv_opt "DEPSURF_CACHE" with
-  | Some dir when dir <> "" -> dir
-  | _ ->
-      let f = Filename.temp_file "depsurf-bench-cache" "" in
-      Sys.remove f;
-      f
-
-let store = Store.open_ ~dir:cache_dir ()
-let ds, t_evolve = time (fun () -> Pipeline.dataset ~store scale)
-let pool = Par.create ~jobs:par_jobs ()
+let ds, t_evolve = time (fun () -> Pipeline.dataset scale)
+let pool = Par.create ()
 let cached = Pipeline.cached ~pool ds
 let x86 v = Dataset.surface ds v Config.x86_generic
 let section title = Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* Every BENCH_*.json is a series, not a snapshot: each harness run
-   appends one {pr, timestamp, metric} record to the file's "trajectory"
-   list (carried over from the previous file) before overwriting it, so
-   stacked PRs accumulate a per-PR perf history. PR number from
-   DEPSURF_PR; timestamp is unix seconds. *)
-let pr_number =
-  match Option.bind (Sys.getenv_opt "DEPSURF_PR") int_of_string_opt with
-  | Some n -> n
-  | None -> 10
-
-let with_trajectory path ~metric fields =
-  let open Json in
-  let previous =
-    if not (Sys.file_exists path) then []
-    else
-      match Json.of_string (read_file path) with
-      | exception _ -> []
-      | j -> ( match Json.member "trajectory" j with Some (List l) -> l | _ -> [])
-  in
-  let record =
-    Obj [ ("pr", Int pr_number); ("timestamp", Float (Unix.time ())); ("metric", Float metric) ]
-  in
-  Obj (fields @ [ ("trajectory", List (previous @ [ record ])) ])
-
-let write_json_file path j =
-  let oc = open_out path in
-  output_string oc (Json.to_string j);
-  output_char oc '\n';
-  close_out oc
-
-(* capture stdout produced by [f], for byte-identity checks *)
-let capture f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let tmp = Filename.temp_file "depsurf-capture" ".txt" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  Unix.dup2 fd Unix.stdout;
-  Unix.close fd;
-  let restore () =
-    flush stdout;
-    Unix.dup2 saved Unix.stdout;
-    Unix.close saved
-  in
-  (match f () with
-  | () -> restore ()
-  | exception e ->
-      restore ();
-      raise e);
-  let s = read_file tmp in
-  Sys.remove tmp;
-  s
-
 let pct = Texttable.pct
 let count = Texttable.count
 
-(* Shared computations, memoized across sections (Pipeline.cached
+(* Shared computations, memoized across sections ([cached] likewise
    computes each diff fan-out once, through the pool). *)
-let lts_diffs = lazy (Pipeline.lts_diffs cached)
-let release_diffs = lazy (Pipeline.release_diffs cached)
-let config_diffs = lazy (Pipeline.config_diffs cached)
-
 let corpus = lazy (Ds_corpus.Corpus.build_all ds ())
 let corpus_analysis = lazy (Ds_corpus.Corpus.analyze_all_matrices ds ~pool (Lazy.force corpus))
-
-(* Tables 1, 3 and 7 are rendered twice — once from the cold dataset and
-   once from the warm (store-backed) replay — and must agree byte for
-   byte, so they read everything through this environment record. *)
-type env = {
-  e_ds : Dataset.t;
-  e_cached : Pipeline.cached;
-  e_analysis : (T7.profile * Report.matrix * Report.mismatch_summary) list Lazy.t;
-}
-
-let env = { e_ds = ds; e_cached = cached; e_analysis = corpus_analysis }
-let ex86 e v = Dataset.surface e.e_ds v Config.x86_generic
 
 (* ------------------------------------------------------------------ *)
 (* Table 3                                                              *)
@@ -143,7 +49,7 @@ let rates_row (d : 'c Diff.item_diff) old_total =
     Stats.percent (List.length d.Diff.d_removed) old_total,
     Stats.percent (List.length d.Diff.d_changed) old_total )
 
-let table3 env () =
+let table3 () =
   section "Table 3: kernel source code differences (x86/generic)";
   let headers =
     [
@@ -157,7 +63,7 @@ let table3 env () =
     let t = Texttable.create ~title headers in
     List.iter
       (fun ((a, b), (d : Diff.t)) ->
-        let fo, so, tpo, _ = Surface.counts (ex86 env a) in
+        let fo, so, tpo, _ = Surface.counts (x86 a) in
         let fa, fr, fc = rates_row d.Diff.df_funcs fo in
         let sa, sr, sc = rates_row d.Diff.df_structs so in
         let ta, tr, tc = rates_row d.Diff.df_tracepoints tpo in
@@ -169,16 +75,16 @@ let table3 env () =
             count tpo; pct ta; pct tr; pct tc;
           ])
       diffs;
-    let last = ex86 env (Version.v 6 8) in
+    let last = x86 (Version.v 6 8) in
     let f, s, tp, _ = Surface.counts last in
     Texttable.row t
       [ "v6.8 (#)"; count f; "-"; "-"; "-"; count s; "-"; "-"; "-"; count tp; "-"; "-"; "-" ];
     print_string (Texttable.render t)
   in
   emit "across LTS versions (paper maxima: fn +24/-10/C6, st +24/-4/C18, tp +39/-5/C16)"
-    (Pipeline.lts_diffs env.e_cached);
+    (Pipeline.lts_diffs cached);
   print_newline ();
-  emit "across consecutive releases" (Pipeline.release_diffs env.e_cached)
+  emit "across consecutive releases" (Pipeline.release_diffs cached)
 
 (* ------------------------------------------------------------------ *)
 (* Table 4                                                              *)
@@ -194,7 +100,7 @@ let table4 () =
         ("5.15-6.8", Texttable.R);
       ]
   in
-  let bks = List.map (fun (_, d) -> Diff.breakdown d) (Lazy.force lts_diffs) in
+  let bks = List.map (fun (_, d) -> Diff.breakdown d) (Pipeline.lts_diffs cached) in
   let fb f = List.map (fun (x, _, _) -> f x) bks in
   let sb f = List.map (fun (_, x, _) -> f x) bks in
   let tb f = List.map (fun (_, _, x) -> f x) bks in
@@ -229,7 +135,7 @@ let table4 () =
 
 let table5 () =
   section "Table 5: configuration differences vs x86/generic at v5.4";
-  let cfg_diffs = Lazy.force config_diffs in
+  let cfg_diffs = Pipeline.config_diffs cached in
   let configs = List.map fst cfg_diffs in
   let t =
     Texttable.create
@@ -376,10 +282,10 @@ let fig6 () =
 (* Tables 1 and 2                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table1 env () =
+let table1 () =
   section "Table 1: summary of dependency mismatches";
-  let lts = List.map snd (Pipeline.lts_diffs env.e_cached) in
-  let cfgs = List.map snd (Pipeline.config_diffs env.e_cached) in
+  let lts = List.map snd (Pipeline.lts_diffs cached) in
+  let cfgs = List.map snd (Pipeline.config_diffs cached) in
   let t =
     Texttable.create
       [
@@ -441,7 +347,7 @@ let table1 env () =
   Texttable.row t
     [ "config"; "register"; "difference"; "by arch"; "by arch"; "Relocation Error" ];
   Texttable.sep t;
-  let s54 = ex86 env (Version.v 5 4) in
+  let s54 = x86 (Version.v 5 4) in
   let ic = Func_status.inline_census s54 in
   let tc = Func_status.transform_census s54 in
   let cc = Func_status.collision_census s54 in
@@ -509,7 +415,7 @@ let fig4 () =
 (* Tables 7 and 8                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let table7 env () =
+let table7 () =
   section "Table 7: dependency sets and mismatches of the 53-program corpus";
   let t =
     Texttable.create
@@ -574,12 +480,12 @@ let table7 env () =
           n s.Report.ms_absent.Depset.n_syscalls;
           (if Report.clean s then "yes" else "");
         ])
-    (Lazy.force env.e_analysis);
+    (Lazy.force corpus_analysis);
   print_string (Texttable.render t);
   print_endline "(columns: S=total, a=absent somewhere, c=changed; F/S/T/D as in Fig. 4)";
   let impacted =
     List.length
-      (List.filter (fun (_, _, s) -> not (Report.clean s)) (Lazy.force env.e_analysis))
+      (List.filter (fun (_, _, s) -> not (Report.clean s)) (Lazy.force corpus_analysis))
   in
   Printf.printf "\n%d/53 programs impacted: %.0f%% (paper: 83%%)\n" impacted
     (Stats.percent impacted 53)
@@ -762,12 +668,12 @@ let ablation_core () =
 
 let ablation_composition () =
   section "Ablation A3: per-release vs LTS-composed churn";
-  let d_lts = List.assoc (Version.v 4 4, Version.v 4 15) (Lazy.force lts_diffs) in
+  let d_lts = List.assoc (Version.v 4 4, Version.v 4 15) (Pipeline.lts_diffs cached) in
   let singles =
     List.filter
       (fun ((a, _), _) ->
         Version.compare a (Version.v 4 4) >= 0 && Version.compare a (Version.v 4 15) < 0)
-      (Lazy.force release_diffs)
+      (Pipeline.release_diffs cached)
   in
   let sum f = List.fold_left (fun acc (_, d) -> acc + f d) 0 singles in
   Printf.printf
@@ -846,438 +752,6 @@ let perf () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end pipeline timing: jobs=1 vs jobs=N, per stage, persisted   *)
-(* as BENCH_PIPELINE.json so later PRs have a perf trajectory.          *)
-(* ------------------------------------------------------------------ *)
-
-type stage_times = {
-  st_compile : float;  (** compile + emit *)
-  st_parse : float;  (** ELF roundtrip + BTF/DWARF parse *)
-  st_surface : float;
-  st_diff : float;
-  st_corpus : float;
-}
-
-let stage_total st = st.st_compile +. st.st_parse +. st.st_surface +. st.st_diff +. st.st_corpus
-
-(* Warm stage by stage (images, then vmlinuxes, then surfaces) so each
-   layer of the chain gets its own wall-clock number; the diff and corpus
-   fan-outs then run on the warmed dataset. *)
-let staged_run ?pool ds' c corpus_thunk =
-  let force f =
-    let chain (v, cfg) = ignore (f ds' v cfg) in
-    match pool with
-    | None -> List.iter chain Dataset.study_images
-    | Some p -> ignore (Par.map_list_chunked p chain Dataset.study_images)
-  in
-  let (), st_compile = time (fun () -> force Dataset.image) in
-  let (), st_parse = time (fun () -> force Dataset.vmlinux) in
-  let (), st_surface = time (fun () -> force Dataset.surface) in
-  let (), st_diff =
-    time (fun () ->
-        ignore (Pipeline.lts_diffs c);
-        ignore (Pipeline.release_diffs c);
-        ignore (Pipeline.config_diffs c))
-  in
-  let analysis, st_corpus = time corpus_thunk in
-  ({ st_compile; st_parse; st_surface; st_diff; st_corpus }, analysis)
-
-(* Satellite: regression guard. Parse the previous BENCH_PIPELINE.json
-   (written by an earlier run of this harness) before overwriting it, so
-   slowdowns against the recorded baseline are visible in the output. *)
-let jfloat = function
-  | Json.Float f -> Some f
-  | Json.Int i -> Some (float_of_int i)
-  | _ -> None
-
-let jstr = function Json.String s -> Some s | _ -> None
-
-let read_pipeline_baseline () =
-  if not (Sys.file_exists "BENCH_PIPELINE.json") then None
-  else
-    match Json.of_string (read_file "BENCH_PIPELINE.json") with
-    | exception _ -> None
-    | j -> (
-        match Json.member "stages" j with
-        | Some (Json.List stages) ->
-            let scale_label = Option.bind (Json.member "scale" j) jstr in
-            Some
-              ( scale_label,
-                List.filter_map
-                  (fun st ->
-                    match
-                      ( Option.bind (Json.member "stage" st) jstr,
-                        Option.bind (Json.member "seq_s" st) jfloat,
-                        Option.bind (Json.member "par_s" st) jfloat )
-                    with
-                    | Some name, Some s, Some p -> Some (name, (s, p))
-                    | _ -> None)
-                  stages )
-        | _ -> None)
-
-let regression_guard baseline seq par =
-  match baseline with
-  | None -> print_endline "(no BENCH_PIPELINE.json baseline; skipping regression check)"
-  | Some (scale_label, stages) ->
-      let this_scale = if scale = Calibration.bench_scale then "bench" else "test" in
-      if scale_label <> Some this_scale then
-        Printf.printf "(baseline BENCH_PIPELINE.json is at scale %s, this run is %s; delta \
-                       table skipped)\n"
-          (Option.value ~default:"?" scale_label)
-          this_scale
-      else begin
-        let t =
-          Texttable.create
-            [
-              ("stage", Texttable.L); ("baseline par (s)", Texttable.R);
-              ("now par (s)", Texttable.R); ("delta", Texttable.R);
-            ]
-        in
-        let slow = ref [] in
-        let row name now_p =
-          match List.assoc_opt name stages with
-          | None -> ()
-          | Some (_, base_p) ->
-              let ratio = now_p /. Float.max 1e-9 base_p in
-              if ratio > 2. && now_p -. base_p > 0.05 then slow := name :: !slow;
-              Texttable.row t
-                [
-                  name; Printf.sprintf "%.2f" base_p; Printf.sprintf "%.2f" now_p;
-                  Printf.sprintf "%+.0f%%" ((ratio -. 1.) *. 100.);
-                ]
-        in
-        row "evolve" t_evolve;
-        row "compile_emit" par.st_compile;
-        row "parse" par.st_parse;
-        row "surface" par.st_surface;
-        row "diff" par.st_diff;
-        row "corpus" par.st_corpus;
-        ignore seq;
-        print_endline "Per-stage delta vs the previous BENCH_PIPELINE.json:";
-        print_string (Texttable.render t);
-        (* a >2x slowdown against the committed baseline is a hard
-           failure, not a warning: trajectory files only stay meaningful
-           if regressions cannot land silently *)
-        List.iter
-          (fun name ->
-            Printf.printf "regression guard: FAILED (stage %s is >2x slower than baseline)\n"
-              name)
-          (List.rev !slow);
-        if !slow <> [] then exit 1
-      end
-
-(* Tentpole gate: with the active-execution budget and chunked
-   submission, a pooled fan-out must cost at most 20% over plain
-   List.map even when the host has a single CPU (jobs=N used to lose
-   3x on 1 core to stop-the-world rendezvous between spinning
-   domains). Measured on a CPU-bound task big enough to dwarf queue
-   noise; best-of-3 on both sides. *)
-let chunking_overhead () =
-  section
-    (Printf.sprintf "Par chunking: map_list_chunked overhead vs List.map (jobs=%d, %d cores)"
-       par_jobs
-       (Domain.recommended_domain_count ()));
-  let xs = List.init 4000 (fun i -> Printf.sprintf "payload-%d-%d" i (i * i)) in
-  let work s =
-    let h = ref 5381 in
-    for _ = 1 to 50 do
-      String.iter (fun c -> h := (!h * 33) lxor Char.code c) s
-    done;
-    !h
-  in
-  let best f =
-    let rec go n acc = if n = 0 then acc else go (n - 1) (Float.min acc (snd (time f))) in
-    go 3 infinity
-  in
-  let t_seq = best (fun () -> ignore (List.map work xs)) in
-  let t_chunked = best (fun () -> ignore (Par.map_list_chunked pool work xs)) in
-  let t_unchunked = best (fun () -> ignore (Par.map_list pool work xs)) in
-  let overhead = (t_chunked /. Float.max 1e-9 t_seq) -. 1. in
-  Printf.printf "List.map %.4fs  map_list %.4fs  map_list_chunked %.4fs  (chunked overhead %+.0f%%)\n"
-    t_seq t_unchunked t_chunked (overhead *. 100.);
-  (* 20% plus a 5ms absolute floor so micro-jitter cannot fail the gate *)
-  if t_chunked > (t_seq *. 1.2) +. 0.005 then begin
-    Printf.printf "chunking gate: FAILED (map_list_chunked is %+.0f%% over List.map, budget 20%%)\n"
-      (overhead *. 100.);
-    exit 1
-  end
-  else print_endline "chunking gate: pooled fan-out within 20% of sequential: OK";
-  Json.Obj
-    [
-      ("list_map_s", Json.Float t_seq);
-      ("map_list_s", Json.Float t_unchunked);
-      ("map_list_chunked_s", Json.Float t_chunked);
-      ("chunked_overhead", Json.Float overhead);
-    ]
-
-let write_bench_json ~chunking seq par =
-  let open Json in
-  let stage name s p =
-    Obj
-      [
-        ("stage", String name);
-        ("seq_s", Float s);
-        ("par_s", Float p);
-        ("speedup", Float (s /. Float.max 1e-9 p));
-      ]
-  in
-  let total_seq = t_evolve +. stage_total seq and total_par = t_evolve +. stage_total par in
-  let j =
-    with_trajectory "BENCH_PIPELINE.json" ~metric:total_par
-      [
-        ("schema", String "depsurf-bench-pipeline/2");
-        ("chunking", chunking);
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("image_count", Int (List.length Dataset.study_images));
-        ("corpus_programs", Int (List.length T7.programs));
-        ("jobs_seq", Int 1);
-        ("jobs_par", Int par_jobs);
-        ( "stages",
-          List
-            [
-              stage "evolve" t_evolve t_evolve;
-              stage "compile_emit" seq.st_compile par.st_compile;
-              stage "parse" seq.st_parse par.st_parse;
-              stage "surface" seq.st_surface par.st_surface;
-              stage "diff" seq.st_diff par.st_diff;
-              stage "corpus" seq.st_corpus par.st_corpus;
-            ] );
-        ("total_seq_s", Float total_seq);
-        ("total_par_s", Float total_par);
-        ("speedup", Float (total_seq /. Float.max 1e-9 total_par));
-      ]
-  in
-  write_json_file "BENCH_PIPELINE.json" j;
-  total_seq, total_par
-
-let biotop_matrix analysis =
-  let _, m, _ = List.find (fun ((pr : T7.profile), _, _) -> pr.T7.pr_name = "biotop") analysis in
-  Report.render_matrix m
-
-(* cold per-stage wall clock, kept for the store-timing comparison *)
-let cold_times : stage_times option ref = ref None
-
-let pipeline_timing () =
-  section (Printf.sprintf "Pipeline timing: jobs=1 vs jobs=%d (%d images)" par_jobs
-             (List.length Dataset.study_images));
-  let baseline = read_pipeline_baseline () in
-  let chunking = chunking_overhead () in
-  (* jobs=1 reference run on its own dataset, with its own throwaway
-     store so both sides of the speedup column pay the same cold
-     artifact writes (the jobs=N run below populates the persistent
-     store; comparing it against a store-less run would book the write
-     cost as pool overhead) *)
-  let seq_store =
-    let d = Filename.temp_file "depsurf-bench-seqcache" "" in
-    Sys.remove d;
-    Store.open_ ~dir:d ()
-  in
-  let ds1 = Pipeline.dataset ~store:seq_store scale in
-  let seq, seq_analysis =
-    staged_run ds1 (Pipeline.cached ds1) (fun () ->
-        Ds_corpus.Corpus.analyze_all_matrices ds1 (Ds_corpus.Corpus.build_all ds1 ()))
-  in
-  (* capture the jobs=1 fingerprints for the determinism check now and
-     drop [ds1], so the reference dataset is not live heap the timed
-     parallel run has to mark on every collection *)
-  let seq_matrix = biotop_matrix seq_analysis in
-  let seq_surface =
-    Json.to_string (Export.surface (Dataset.surface ds1 (Version.v 6 8) Config.x86_generic))
-  in
-  Gc.compact ();
-  (* jobs=N run on the dataset every table below reads *)
-  let par, par_analysis = staged_run ~pool ds cached (fun () -> Lazy.force corpus_analysis) in
-  let t =
-    Texttable.create
-      [
-        ("stage", Texttable.L); ("jobs=1 (s)", Texttable.R);
-        (Printf.sprintf "jobs=%d (s)" par_jobs, Texttable.R); ("speedup", Texttable.R);
-      ]
-  in
-  let row name s p =
-    Texttable.row t
-      [ name; Printf.sprintf "%.2f" s; Printf.sprintf "%.2f" p;
-        Printf.sprintf "%.2fx" (s /. Float.max 1e-9 p) ]
-  in
-  row "evolve (sequential)" t_evolve t_evolve;
-  row "compile+emit" seq.st_compile par.st_compile;
-  row "parse" seq.st_parse par.st_parse;
-  row "surface" seq.st_surface par.st_surface;
-  row "diff" seq.st_diff par.st_diff;
-  row "corpus" seq.st_corpus par.st_corpus;
-  Texttable.sep t;
-  let total_seq, total_par = write_bench_json ~chunking seq par in
-  row "total" total_seq total_par;
-  print_string (Texttable.render t);
-  print_endline "(written to BENCH_PIPELINE.json)";
-  regression_guard baseline seq par;
-  cold_times := Some par;
-  (* tentpole gate: with the execution budget, jobs=N must never cost a
-     stage more than 20% over jobs=1 — even on a single CPU, where the
-     pool used to lose 3x to domain rendezvous. The 50ms absolute slack
-     keeps sub-100ms stages from tripping the gate on scheduler noise. *)
-  let stage_gate = ref [] in
-  List.iter
-    (fun (name, s, p) ->
-      if s /. Float.max 1e-9 p < 0.8 && p -. s > 0.05 then stage_gate := name :: !stage_gate)
-    [
-      ("compile_emit", seq.st_compile, par.st_compile);
-      ("parse", seq.st_parse, par.st_parse);
-      ("surface", seq.st_surface, par.st_surface);
-      ("diff", seq.st_diff, par.st_diff);
-      ("corpus", seq.st_corpus, par.st_corpus);
-    ];
-  if !stage_gate <> [] then begin
-    List.iter
-      (fun name ->
-        Printf.printf "par overhead gate: FAILED (stage %s speedup < 0.8 at jobs=%d)\n" name
-          par_jobs)
-      (List.rev !stage_gate);
-    exit 1
-  end
-  else
-    Printf.printf "par overhead gate: every stage within 20%% of jobs=1 at jobs=%d: OK\n"
-      par_jobs;
-  (* determinism contract: the parallel run must be byte-identical *)
-  let par_surface = Json.to_string (Export.surface (x86 (Version.v 6 8))) in
-  if
-    String.equal seq_matrix (biotop_matrix par_analysis)
-    && String.equal seq_surface par_surface
-  then print_endline "determinism check: jobs=1 and parallel outputs byte-identical: OK"
-  else begin
-    print_endline "determinism check: FAILED (parallel output differs from jobs=1)";
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Robustness: lenient-ingestion overhead + fault survival              *)
-(* ------------------------------------------------------------------ *)
-
-module Faultgen = Ds_faultgen.Faultgen
-
-let robustness () =
-  section "Robustness: lenient ingestion overhead and mutation survival";
-  let img = Dataset.image ds (Version.v 5 4) Config.x86_generic in
-  let image_bytes = Ds_elf.Elf.write img in
-  let sec name =
-    match Ds_elf.Elf.find_section img name with Some s -> s.Ds_elf.Elf.sec_data | None -> ""
-  in
-  (* clean-image overhead: the lenient path must cost no more than the
-     strict path it shadows (budget: 5%) *)
-  let reps = 20 in
-  let avg f =
-    Stats.mean
-      (List.init reps (fun _ ->
-           let (), dt = time (fun () -> ignore (f ())) in
-           dt))
-  in
-  (* interleave so neither side soaks up a GC bias *)
-  let t_strict0 = avg (fun () -> Surface.extract image_bytes) in
-  let t_lenient0 = avg (fun () -> Surface.extract ~mode:`Lenient image_bytes) in
-  let t_strict = Float.min t_strict0 (avg (fun () -> Surface.extract image_bytes)) in
-  let t_lenient =
-    Float.min t_lenient0 (avg (fun () -> Surface.extract ~mode:`Lenient image_bytes))
-  in
-  let overhead_pct = ((t_lenient /. Float.max 1e-9 t_strict) -. 1.) *. 100. in
-  Printf.printf "  clean-image extraction: strict %.2f ms, lenient %.2f ms (%+.1f%%)\n"
-    (t_strict *. 1000.) (t_lenient *. 1000.) overhead_pct;
-  if overhead_pct > 5. then
-    Printf.printf "WARNING: lenient ingestion %.1f%% slower than strict on clean images (>5%% budget)\n"
-      overhead_pct;
-  (* clean images must come out byte-identical with zero diagnostics *)
-  let strict_json =
-    Json.to_string (Export.surface (Ds_util.Diag.ok (Surface.extract image_bytes)))
-  in
-  let lenient_s = Ds_util.Diag.ok (Surface.extract ~mode:`Lenient image_bytes) in
-  let lenient_json = Json.to_string (Export.surface lenient_s) in
-  let identical = String.equal strict_json lenient_json && Surface.health lenient_s = [] in
-  if identical then
-    print_endline "  clean-image check: lenient surface byte-identical to strict, zero diagnostics: OK"
-  else print_endline "  clean-image check: FAILED (lenient differs from strict on a clean image)";
-  (* seeded mutation survival, per parser and end-to-end *)
-  let seed = Dataset.seed ds in
-  let dwarf_abbrev = sec ".debug_abbrev" in
-  let obj_bytes = Ds_bpf.Obj.write (snd (List.hd (Lazy.force corpus))) in
-  let pipeline_count = if scale = Calibration.bench_scale then 100 else 500 in
-  let surveys =
-    [
-      ( "elf", 500, image_bytes,
-        fun bytes -> Ds_util.Diag.diags (Ds_elf.Elf.read ~mode:`Lenient bytes) );
-      ( "btf", 500, sec ".BTF",
-        fun bytes -> Ds_util.Diag.diags (Ds_btf.Btf.decode ~mode:`Lenient bytes) );
-      ( "dwarf", 500, sec ".debug_info",
-        fun bytes ->
-          Ds_util.Diag.diags
-            (Ds_dwarf.Info.decode ~mode:`Lenient ~info:bytes ~abbrev:dwarf_abbrev ()) );
-      ( "bpf_obj", 500, obj_bytes,
-        fun bytes -> Ds_util.Diag.diags (Ds_bpf.Obj.read ~mode:`Lenient bytes) );
-      ( "pipeline", pipeline_count, image_bytes,
-        fun bytes -> Surface.health (Ds_util.Diag.ok (Surface.extract ~mode:`Lenient bytes)) );
-    ]
-  in
-  let t =
-    Texttable.create
-      [
-        ("parser", Texttable.L); ("mutations", Texttable.R); ("clean", Texttable.R);
-        ("degraded", Texttable.R); ("fatal", Texttable.R); ("crashed", Texttable.R);
-      ]
-  in
-  let crashed_total = ref 0 in
-  let results =
-    List.map
-      (fun (name, mut_count, bytes, health) ->
-        let muts = Faultgen.mutations ~count:mut_count ~seed bytes in
-        let tally, crashed = Faultgen.survey health muts in
-        List.iter
-          (fun (mname, e) -> Printf.printf "  CRASH %s %s: %s\n" name mname e)
-          crashed;
-        crashed_total := !crashed_total + tally.Faultgen.n_crashed;
-        Texttable.row t
-          [
-            name;
-            string_of_int tally.Faultgen.n_total; string_of_int tally.Faultgen.n_clean;
-            string_of_int tally.Faultgen.n_degraded; string_of_int tally.Faultgen.n_fatal;
-            string_of_int tally.Faultgen.n_crashed;
-          ];
-        (name, tally))
-      surveys
-  in
-  print_string (Texttable.render t);
-  let open Json in
-  let j =
-    with_trajectory "BENCH_ROBUST.json" ~metric:overhead_pct
-      [
-        ("schema", String "depsurf-bench-robust/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("strict_ms", Float (t_strict *. 1000.));
-        ("lenient_ms", Float (t_lenient *. 1000.));
-        ("overhead_pct", Float overhead_pct);
-        ("clean_identical", Bool identical);
-        ( "surveys",
-          List
-            (List.map
-               (fun (name, (ta : Faultgen.tally)) ->
-                 Obj
-                   [
-                     ("parser", String name);
-                     ("total", Int ta.Faultgen.n_total);
-                     ("clean", Int ta.Faultgen.n_clean);
-                     ("degraded", Int ta.Faultgen.n_degraded);
-                     ("fatal", Int ta.Faultgen.n_fatal);
-                     ("crashed", Int ta.Faultgen.n_crashed);
-                   ])
-               results) );
-      ]
-  in
-  write_json_file "BENCH_ROBUST.json" j;
-  print_endline "(written to BENCH_ROBUST.json)";
-  if !crashed_total > 0 || not identical then begin
-    Printf.printf "robustness check: FAILED (%d uncaught exceptions)\n" !crashed_total;
-    exit 1
-  end
-  else print_endline "robustness check: every mutation survived with typed diagnostics: OK"
-
-(* ------------------------------------------------------------------ *)
 (* Tracing: span overhead, enabled vs disabled                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1332,22 +806,6 @@ let tracing () =
     Printf.printf "  tracing check: FAILED (no %s spans recorded)\n"
       (String.concat ", " missing);
   Trace.clear ();
-  let open Json in
-  let j =
-    with_trajectory "BENCH_TRACE.json" ~metric:overhead_pct
-      [
-        ("schema", String "depsurf-bench-trace/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("disabled_ms", Float (t_off *. 1000.));
-        ("enabled_ms", Float (t_on *. 1000.));
-        ("overhead_pct", Float overhead_pct);
-        ("spans", Int (List.length sps));
-        ("dropped", Int dropped);
-        ("span_names", List (List.map (fun n2 -> String n2) names));
-      ]
-  in
-  write_json_file "BENCH_TRACE.json" j;
-  print_endline "(written to BENCH_TRACE.json)";
   if overhead_pct > 5. || not nested_ok || missing <> [] then begin
     Printf.printf "tracing check: FAILED (overhead %+.1f%%, budget 5%%)\n" overhead_pct;
     exit 1
@@ -1356,1012 +814,19 @@ let tracing () =
     Printf.printf
       "tracing check: enabled tracing cost %+.1f%% (< 5%% budget), spans well nested: OK\n"
       overhead_pct
-
-(* ------------------------------------------------------------------ *)
-(* Store timing: cold vs warm                                           *)
-(* ------------------------------------------------------------------ *)
-
-let write_store_json ~warm ~(wstats : Store.counters) ~cold_total ~warm_total ~identical =
-  let open Json in
-  let es = Store.entries ~dir:cache_dir in
-  let j =
-    with_trajectory "BENCH_STORE.json" ~metric:warm_total
-      [
-        ("schema", String "depsurf-bench-store/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("image_count", Int (List.length Dataset.study_images));
-        ("entries", Int (List.length es));
-        ("bytes", Int (List.fold_left (fun a e -> a + e.Store.e_bytes) 0 es));
-        ("cold_total_s", Float cold_total);
-        ( "warm",
-          Obj
-            [
-              ("evolve_s", Float (List.assoc "evolve" warm));
-              ("surface_s", Float (List.assoc "surface" warm));
-              ("diff_s", Float (List.assoc "diff" warm));
-              ("corpus_s", Float (List.assoc "corpus" warm));
-              ("total_s", Float warm_total);
-              ("hits", Int wstats.Store.c_hits);
-              ("misses", Int wstats.Store.c_misses);
-              ("evictions", Int wstats.Store.c_evictions);
-              ("bytes_read", Int wstats.Store.c_bytes_read);
-            ] );
-        ("speedup", Float (cold_total /. Float.max 1e-9 warm_total));
-        ("tables_identical", Bool identical);
-      ]
-  in
-  write_json_file "BENCH_STORE.json" j
-
-let store_timing () =
-  section "Store timing: cold vs warm (persistent artifact cache)";
-  Store.save_counters store;
-  let cold = Store.stats store in
-  (* re-render the cold tables from the already-memoized main dataset;
-     table1/3/7 are pure views, so this equals what was printed above *)
-  let cold_tables = capture (fun () -> table1 env (); table3 env (); table7 env ()) in
-  (* a fresh handle + dataset replays what a second process would do over
-     the same cache directory *)
-  let store_w = Store.open_ ~dir:cache_dir () in
-  let ds_w, w_evolve = time (fun () -> Pipeline.dataset ~store:store_w scale) in
-  let cached_w = Pipeline.cached ds_w in
-  let (), w_surface =
-    time (fun () ->
-        List.iter (fun (v, cfg) -> ignore (Dataset.surface ds_w v cfg)) Dataset.study_images)
-  in
-  let (), w_diff =
-    time (fun () ->
-        ignore (Pipeline.lts_diffs cached_w);
-        ignore (Pipeline.release_diffs cached_w);
-        ignore (Pipeline.config_diffs cached_w))
-  in
-  let analysis_w, w_corpus =
-    time (fun () ->
-        Ds_corpus.Corpus.analyze_all_matrices ds_w (Ds_corpus.Corpus.build_all ds_w ()))
-  in
-  let env_w = { e_ds = ds_w; e_cached = cached_w; e_analysis = lazy analysis_w } in
-  let warm_tables = capture (fun () -> table1 env_w (); table3 env_w (); table7 env_w ()) in
-  let wstats = Store.stats store_w in
-  Store.save_counters store_w;
-  let cold_total =
-    t_evolve +. match !cold_times with Some c -> stage_total c | None -> 0.
-  in
-  let warm_total = w_evolve +. w_surface +. w_diff +. w_corpus in
-  let t =
-    Texttable.create
-      [ ("stage", Texttable.L); ("cold (s)", Texttable.R); ("warm (s)", Texttable.R) ]
-  in
-  let row name c w =
-    Texttable.row t [ name; Printf.sprintf "%.2f" c; Printf.sprintf "%.2f" w ]
-  in
-  row "evolve" t_evolve w_evolve;
-  (match !cold_times with
-  | Some c ->
-      row "compile+parse+surface" (c.st_compile +. c.st_parse +. c.st_surface) w_surface;
-      row "diff" c.st_diff w_diff;
-      row "corpus" c.st_corpus w_corpus
-  | None -> ());
-  Texttable.sep t;
-  row "total" cold_total warm_total;
-  print_string (Texttable.render t);
-  Printf.printf "warm store counters: hits %d misses %d evictions %d bytes_read %d\n"
-    wstats.Store.c_hits wstats.Store.c_misses wstats.Store.c_evictions wstats.Store.c_bytes_read;
-  Printf.printf "cold store counters: misses %d writes %d bytes_written %d\n"
-    cold.Store.c_misses cold.Store.c_writes cold.Store.c_bytes_written;
-  Printf.printf "warm kernel compiles: %d (cold: %d)\n" (Dataset.compile_count ds_w)
-    (Dataset.compile_count ds);
-  let identical = String.equal cold_tables warm_tables in
-  write_store_json
-    ~warm:
-      [ ("evolve", w_evolve); ("surface", w_surface); ("diff", w_diff); ("corpus", w_corpus) ]
-    ~wstats ~cold_total ~warm_total ~identical;
-  print_endline "(written to BENCH_STORE.json)";
-  if identical && Dataset.compile_count ds_w = 0 && wstats.Store.c_misses = 0 then
-    print_endline
-      "store check: warm run hit every artifact (0 compiles, 0 misses); Tables 1/3/7 \
-       byte-identical: OK"
-  else begin
-    if not identical then
-      print_endline "store check: FAILED (warm tables differ from cold tables)";
-    if Dataset.compile_count ds_w <> 0 then
-      Printf.printf "store check: FAILED (%d image compiles on the warm run)\n"
-        (Dataset.compile_count ds_w);
-    if wstats.Store.c_misses <> 0 then
-      Printf.printf "store check: FAILED (%d store misses on the warm run)\n"
-        wstats.Store.c_misses;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Query service: cold vs warm latency under concurrent load            *)
-(* ------------------------------------------------------------------ *)
-
-module Serve = Ds_serve.Serve
-
-(* pull an int out of a nested JSON document; 0 when absent *)
-let jint j path =
-  let rec go j = function
-    | [] -> ( match j with Json.Int n -> n | Json.Float f -> int_of_float f | _ -> 0)
-    | k :: rest -> ( match Json.member k j with Some j' -> go j' rest | None -> 0)
-  in
-  go j path
-
-let rec adjacent_pairs = function
-  | a :: (b :: _ as tl) -> (a, b) :: adjacent_pairs tl
-  | _ -> []
-
-(* previous committed BENCH_SERVE.json, for the serve regression guard *)
-let read_serve_baseline () =
-  if not (Sys.file_exists "BENCH_SERVE.json") then None
-  else
-    match Json.of_string (read_file "BENCH_SERVE.json") with
-    | exception _ -> None
-    | j -> (
-        match
-          (Option.bind (Json.member "scale" j) jstr, Option.bind (Json.member "warm_p95_ms" j) jfloat)
-        with
-        | Some sc, Some p95 -> Some (sc, p95)
-        | _ -> None)
-
-let serve_bench () =
-  section "Query service: cold vs warm latency under concurrent load";
-  let baseline = read_serve_baseline () in
-  (* a private dataset + cache dir so the cold phase is honestly cold:
-     nothing the main bench computed leaks into the server's tiers *)
-  let sdir =
-    let f = Filename.temp_file "depsurf-bench-serve" "" in
-    Sys.remove f;
-    f
-  in
-  let sstore = Store.open_ ~dir:sdir () in
-  let sds = Pipeline.dataset ~store:sstore scale in
-  let srv = Serve.create ~ds:sds ~pool () in
-  let sock = Filename.temp_file "depsurf-bench-serve" ".sock" in
-  Sys.remove sock;
-  let h = Serve.start srv (Serve.Unix_sock sock) in
-  let addr = Serve.bound_addr h in
-  let failed = Atomic.make false in
-  let get path =
-    let t0 = now () in
-    let status, _body = Serve.Client.request addr ~meth:"GET" ~path in
-    if status <> 200 then begin
-      Printf.printf "serve check: FAILED (GET %s -> %d)\n" path status;
-      Atomic.set failed true
-    end;
-    (now () -. t0) *. 1000.
-  in
-  (* the counters that must not move during a warm phase *)
-  let snapshot () =
-    let status, body = Serve.Client.request addr ~meth:"GET" ~path:"/v1/metrics" in
-    if status <> 200 then failwith "metrics endpoint failed";
-    let j = Api.data (Json.of_string body) in
-    ( jint j [ "compiles" ],
-      jint j [ "store"; "misses" ],
-      jint j [ "counters"; "index.fill.surface" ],
-      jint j [ "counters"; "index.fill.diff" ] )
-  in
-  (* conditional GET: send the validator back, demand an empty 304 *)
-  let get_cond (path, etag) =
-    let t0 = now () in
-    let status, _, body =
-      Serve.Client.request_full ~headers:[ ("If-None-Match", etag) ] addr ~meth:"GET" ~path
-    in
-    if status <> 304 || body <> "" then begin
-      Printf.printf "serve check: FAILED (conditional GET %s -> %d with %d body bytes)\n" path
-        status (String.length body);
-      Atomic.set failed true
-    end;
-    (now () -. t0) *. 1000.
-  in
-  let etag_of path =
-    let _, hdrs, _ = Serve.Client.request_full addr ~meth:"GET" ~path in
-    match List.assoc_opt "etag" hdrs with
-    | Some e -> e
-    | None ->
-        Printf.printf "serve check: FAILED (GET %s carries no ETag)\n" path;
-        Atomic.set failed true;
-        "\"missing\""
-  in
-  let run_clients clients reqs ~f =
-    let doms = List.init clients (fun _ -> Domain.spawn (fun () -> List.map f reqs)) in
-    List.concat_map Domain.join doms
-  in
-  let warm_reps = 20 in
-  let t =
-    Texttable.create
-      [
-        ("clients", Texttable.R); ("phase", Texttable.L); ("reqs", Texttable.R);
-        ("mean ms", Texttable.R); ("p50 ms", Texttable.R); ("p95 ms", Texttable.R);
-        ("p99 ms", Texttable.R); ("max ms", Texttable.R);
-      ]
-  in
-  let reservoir_of samples =
-    let r = Stats.Reservoir.create () in
-    List.iter (Stats.Reservoir.add r) samples;
-    r
-  in
-  let phase_cells r =
-    let q p = Stats.Reservoir.quantile r p in
-    ( Stats.Reservoir.count r, Stats.Reservoir.mean r, q 0.5, q 0.95, q 0.99,
-      Stats.Reservoir.max_seen r )
-  in
-  let phase_row clients phase r =
-    let n, mean, p50, p95, p99 , mx = phase_cells r in
-    Texttable.row t
-      [
-        string_of_int clients; phase; string_of_int n;
-        Printf.sprintf "%.2f" mean; Printf.sprintf "%.2f" p50; Printf.sprintf "%.2f" p95;
-        Printf.sprintf "%.2f" p99; Printf.sprintf "%.2f" mx;
-      ]
-  in
-  let phase_json r =
-    let n, mean, p50, p95, p99, mx = phase_cells r in
-    Json.Obj
-      [
-        ("requests", Json.Int n); ("mean_ms", Json.Float mean);
-        ("p50_ms", Json.Float p50); ("p95_ms", Json.Float p95);
-        ("p99_ms", Json.Float p99); ("max_ms", Json.Float mx);
-      ]
-  in
-  (* response-cache identity probe, on an image outside every level's
-     slice: the first (rendered, cache-miss) response and the second
-     (cache-hit) response must be byte-identical and share one ETag *)
-  let expected_fills = ref (0, 0) in
-  (match List.nth_opt Dataset.study_images 6 with
-  | None -> ()
-  | Some img ->
-      let path = "/v1/surface/" ^ Serve.image_name img in
-      let state hdrs = Option.value ~default:"?" (List.assoc_opt "x-depsurf-cache" hdrs) in
-      let s1, h1, b1 = Serve.Client.request_full addr ~meth:"GET" ~path in
-      let s2, h2, b2 = Serve.Client.request_full addr ~meth:"GET" ~path in
-      (* the probe hydrated one surface; the per-level single-flight
-         accounting below starts from that *)
-      expected_fills := (1, 0);
-      if
-        s1 <> 200 || s2 <> 200 || state h1 <> "miss" || state h2 <> "hit"
-        || not (String.equal b1 b2)
-        || List.assoc_opt "etag" h1 <> List.assoc_opt "etag" h2
-        || List.assoc_opt "etag" h1 = None
-      then begin
-        Printf.printf
-          "serve check: FAILED (cache identity: %d/%s then %d/%s, bodies %s, etags %s)\n" s1
-          (state h1) s2 (state h2)
-          (if String.equal b1 b2 then "equal" else "DIFFER")
-          (if List.assoc_opt "etag" h1 = List.assoc_opt "etag" h2 then "equal" else "DIFFER");
-        Atomic.set failed true
-      end
-      else
-        print_endline
-          "serve check: cached response byte-identical to the rendered one (miss -> hit): OK");
-  let warm_all = ref [] in
-  let cond_1client = ref [] in
-  let levels_json =
-    List.mapi
-      (fun li clients ->
-        (* each level queries its own disjoint slice of the study matrix,
-           so its cold phase never rides an earlier level's hot index *)
-        let images =
-          List.filteri (fun i _ -> i >= li * 3 && i < (li + 1) * 3) Dataset.study_images
-        in
-        let names = List.map Serve.image_name images in
-        let reqs =
-          List.map (fun n -> "/v1/surface/" ^ n) names
-          @ List.map (fun (a, b) -> "/v1/diff/" ^ a ^ "/" ^ b) (adjacent_pairs names)
-        in
-        let cold = run_clients clients reqs ~f:get in
-        (* every client raced the same uncached keys: single-flight means
-           each key was computed exactly once, no matter the concurrency *)
-        let exp_s, exp_d = !expected_fills in
-        let exp_s = exp_s + List.length names
-        and exp_d = exp_d + List.length (adjacent_pairs names) in
-        expected_fills := (exp_s, exp_d);
-        let c0, m0, fs0, fd0 = snapshot () in
-        if fs0 <> exp_s || fd0 <> exp_d then begin
-          Printf.printf
-            "serve check: FAILED (single-flight: %d surface / %d diff fills, expected %d / %d)\n"
-            fs0 fd0 exp_s exp_d;
-          Atomic.set failed true
-        end;
-        let warm =
-          run_clients clients (List.concat (List.init warm_reps (fun _ -> reqs))) ~f:get
-        in
-        let c1, m1, fs1, fd1 = snapshot () in
-        if c1 <> c0 || m1 <> m0 || fs1 <> fs0 || fd1 <> fd0 then begin
-          Printf.printf
-            "serve check: FAILED (warm phase touched the slow tiers: +%d compiles, +%d store \
-             misses, +%d index fills)\n"
-            (c1 - c0) (m1 - m0) (fs1 - fs0 + fd1 - fd0);
-          Atomic.set failed true
-        end;
-        (* conditional warm phase: clients that already hold the
-           representation revalidate with If-None-Match and get an
-           empty-bodied 304 — the steady state of a polling consumer,
-           and the latency the warm gate is about *)
-        let etags = List.map (fun p -> (p, etag_of p)) reqs in
-        let cond =
-          run_clients clients (List.concat (List.init warm_reps (fun _ -> etags))) ~f:get_cond
-        in
-        let c2, m2, fs2, fd2 = snapshot () in
-        if c2 <> c1 || m2 <> m1 || fs2 <> fs1 || fd2 <> fd1 then begin
-          Printf.printf
-            "serve check: FAILED (conditional phase touched the slow tiers: +%d compiles, +%d \
-             store misses, +%d index fills)\n"
-            (c2 - c1) (m2 - m1) (fs2 - fs1 + fd2 - fd1);
-          Atomic.set failed true
-        end;
-        warm_all := warm @ !warm_all;
-        if clients = 1 then cond_1client := cond @ !cond_1client;
-        let rc = reservoir_of cold and rw = reservoir_of warm and rn = reservoir_of cond in
-        phase_row clients "cold" rc;
-        phase_row clients "warm full" rw;
-        phase_row clients "warm 304" rn;
-        Texttable.sep t;
-        Json.Obj
-          [
-            ("clients", Json.Int clients);
-            ("distinct_requests", Json.Int (List.length reqs));
-            ("warm_reps", Json.Int warm_reps);
-            ("cold", phase_json rc);
-            ("warm_full", phase_json rw);
-            ("warm_conditional", phase_json rn);
-            ("warm_compile_delta", Json.Int (c2 - c0));
-            ("warm_store_miss_delta", Json.Int (m2 - m0));
-          ])
-      [ 1; 4 ]
-  in
-  Serve.stop h;
-  print_string (Texttable.render t);
-  (* ---- overload: 4x the admission capacity -------------------------- *)
-  (* a deliberately small server (4 slots) under 16 hammering clients:
-     every answer must be a 200 or a 503-with-Retry-After (no other
-     5xx, no dropped connections), shedding must actually engage, the
-     accepted requests must keep their tail, no fd may leak, and the
-     final drain must abandon nothing *)
-  let overload_json =
-    let limits = { (Serve.default_limits ()) with Serve.li_max_inflight = 4 } in
-    let srv2 = Serve.create ~limits ~ds:sds ~pool () in
-    let sock2 = Filename.temp_file "depsurf-bench-overload" ".sock" in
-    Sys.remove sock2;
-    let h2 = Serve.start srv2 (Serve.Unix_sock sock2) in
-    let addr2 = Serve.bound_addr h2 in
-    (* warm the route so the burst measures admission, not hydration *)
-    (match Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/healthz" with
-    | 200, _ -> ()
-    | st, _ -> failwith (Printf.sprintf "overload warmup: healthz -> %d" st));
-    let fd_before = Ds_util.Fdcount.count () in
-    let clients = 4 * limits.Serve.li_max_inflight and per_client = 25 in
-    let ok = Atomic.make 0 and shed = Atomic.make 0 and bad = Atomic.make 0 in
-    let doms =
-      List.init clients (fun _ ->
-          Domain.spawn (fun () ->
-              for _ = 1 to per_client do
-                match Serve.Client.request_full addr2 ~meth:"GET" ~path:"/v1/healthz" with
-                | 200, _, _ -> Atomic.incr ok
-                | 503, hdrs, _ ->
-                    if List.assoc_opt "retry-after" hdrs = None then Atomic.incr bad
-                    else Atomic.incr shed
-                | _, _, _ -> Atomic.incr bad
-                | exception _ -> Atomic.incr bad
-              done))
-    in
-    List.iter Domain.join doms;
-    let ok = Atomic.get ok and shed = Atomic.get shed and bad = Atomic.get bad in
-    if ok + shed + bad <> clients * per_client then begin
-      Printf.printf "serve overload: FAILED (%d answers for %d requests)\n" (ok + shed + bad)
-        (clients * per_client);
-      Atomic.set failed true
-    end;
-    if bad > 0 then begin
-      Printf.printf
-        "serve overload: FAILED (%d responses were neither 200 nor 503-with-Retry-After)\n" bad;
-      Atomic.set failed true
-    end;
-    if ok = 0 || shed = 0 then begin
-      Printf.printf
-        "serve overload: FAILED (degenerate mix: %d served, %d shed — overload must both \
-         shed and keep serving)\n"
-        ok shed;
-      Atomic.set failed true
-    end;
-    (* server-side tail of the accepted requests (client-side numbers
-       would fold in our own scheduler noise): /metrics .latency_ms *)
-    let _, mbody = Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/metrics" in
-    let mj = Api.data (Json.of_string mbody) in
-    let accepted_p95 =
-      match
-        Option.bind (Json.member "latency_ms" mj) (fun l ->
-            Option.bind (Json.member "/healthz" l) (fun h ->
-                Option.bind (Json.member "p95" h) jfloat))
-      with
-      | Some f -> f
-      | None -> nan
-    in
-    if not (accepted_p95 < 5.) then begin
-      Printf.printf "serve overload: FAILED (accepted p95 = %.2fms, budget 5ms)\n" accepted_p95;
-      Atomic.set failed true
-    end;
-    let sheds_metric = jint mj [ "counters"; "overload.shed" ] in
-    (* drain with one request mid-flight: the burst is over, so a lone
-       client keeps issuing requests while we stop — every answer it
-       already holds must be complete, and the server must abandon
-       nothing *)
-    let drained_ok = Atomic.make 0 and drained_dropped = Atomic.make 0 in
-    let late_client =
-      Domain.spawn (fun () ->
-          let rec go n =
-            if n = 0 then ()
-            else
-              match Serve.Client.request addr2 ~meth:"GET" ~path:"/v1/healthz" with
-              | 200, _ -> Atomic.incr drained_ok; go (n - 1)
-              | 503, _ -> go (n - 1)
-              | _, _ -> Atomic.incr drained_dropped
-              | exception _ ->
-                  (* connect refused after the listener closed: not a
-                     drop, the request was never accepted *)
-                  ()
-          in
-          go 200)
-    in
-    Unix.sleepf 0.05;
-    Serve.stop h2;
-    Domain.join late_client;
-    if Atomic.get drained_dropped > 0 then begin
-      Printf.printf "serve overload: FAILED (%d accepted requests dropped by the drain)\n"
-        (Atomic.get drained_dropped);
-      Atomic.set failed true
-    end;
-    let abandoned = Ds_util.Metrics.counter (Serve.metrics srv2) "drain.abandoned" in
-    if abandoned > 0 then begin
-      Printf.printf "serve overload: FAILED (drain abandoned %d connections)\n" abandoned;
-      Atomic.set failed true
-    end;
-    let fd_after = Ds_util.Fdcount.count () in
-    if not (Ds_util.Fdcount.no_growth ~slack:2 ~before:fd_before ~after:fd_after ()) then begin
-      Printf.printf "serve overload: FAILED (fd growth %d -> %d)\n" fd_before fd_after;
-      Atomic.set failed true
-    end;
-    if not (Atomic.get failed) then
-      Printf.printf
-        "serve overload gate: %d served / %d shed of %d at 4x capacity, accepted p95 %.2fms, \
-         fd %d -> %d, drain clean: OK\n"
-        ok shed (clients * per_client) accepted_p95 fd_before fd_after;
-    Json.Obj
-      [
-        ("clients", Json.Int clients);
-        ("max_inflight", Json.Int limits.Serve.li_max_inflight);
-        ("requests", Json.Int (clients * per_client));
-        ("served", Json.Int ok);
-        ("shed", Json.Int shed);
-        ("shed_metric", Json.Int sheds_metric);
-        ("accepted_p95_ms", Json.Float accepted_p95);
-        ("drain_abandoned", Json.Int abandoned);
-        ("drained_late_ok", Json.Int (Atomic.get drained_ok));
-      ]
-  in
-  let rw_all = reservoir_of !warm_all in
-  let _, _, _, warm_full_p95, _, _ = phase_cells rw_all in
-  (* the headline warm metric: conditional revalidation at 1 client *)
-  let rn1 = reservoir_of !cond_1client in
-  let _, _, _, warm_p95, _, _ = phase_cells rn1 in
-  let j =
-    with_trajectory "BENCH_SERVE.json" ~metric:warm_p95
-      [
-        ("schema", Json.String "depsurf-bench-serve/2");
-        ("scale", Json.String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("warm_p95_ms", Json.Float warm_p95);
-        ("warm_full_p95_ms", Json.Float warm_full_p95);
-        ("levels", Json.List levels_json);
-        ("overload", overload_json);
-      ]
-  in
-  write_json_file "BENCH_SERVE.json" j;
-  print_endline "(written to BENCH_SERVE.json)";
-  (* hard gate: a warm conditional round-trip must be sub-5ms at 1
-     client — the response cache plus 304 leaves only socket plumbing *)
-  if warm_p95 >= 5. then begin
-    Printf.printf "serve warm gate: FAILED (1-client conditional p95 = %.2fms, budget 5ms)\n"
-      warm_p95;
-    Atomic.set failed true
-  end
-  else Printf.printf "serve warm gate: 1-client conditional p95 = %.2fms < 5ms: OK\n" warm_p95;
-  (* regression guard against the committed trajectory, like the
-     pipeline's: >2x slower (and >1ms absolute) is a hard failure *)
-  (match baseline with
-  | None -> print_endline "(no BENCH_SERVE.json baseline; skipping regression check)"
-  | Some (base_scale, base_p95) ->
-      let this_scale = if scale = Calibration.bench_scale then "bench" else "test" in
-      if base_scale <> this_scale then
-        Printf.printf "(baseline BENCH_SERVE.json is at scale %s, this run is %s; regression \
-                       check skipped)\n"
-          base_scale this_scale
-      else if warm_p95 > 2. *. base_p95 && warm_p95 -. base_p95 > 1. then begin
-        Printf.printf
-          "serve regression guard: FAILED (warm p95 %.2fms is >2x the baseline %.2fms)\n"
-          warm_p95 base_p95;
-        Atomic.set failed true
-      end
-      else
-        Printf.printf "serve regression guard: warm p95 %.2fms vs baseline %.2fms: OK\n" warm_p95
-          base_p95);
-  if Atomic.get failed then begin
-    print_endline "serve check: FAILED";
-    exit 1
-  end
-  else
-    print_endline
-      "serve check: warm phases answered every repeat with 0 compiles, 0 store misses and 0 \
-       index fills; single-flight hydration held under concurrency: OK"
-
-(* ------------------------------------------------------------------ *)
-(* Dependency graph: build determinism, warm load, closure latency,    *)
-(* blast radius over the corpus                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Graph = Ds_graph.Graph
-module Blast = Ds_graph.Blast
-
-let graph_bench () =
-  section "Dependency graph: build, warm load, reverse-closure latency, blast radius";
-  let failed = Atomic.make false in
-  let v = Version.v 5 4 and cfg = Config.x86_generic in
-  let s = x86 v in
-  (* determinism: the pooled chunked build must produce the same bytes
-     as the sequential one, whatever the chunking *)
-  let g_seq, t_seq = time (fun () -> Graph.build s) in
-  let g_par, t_par = time (fun () -> Graph.build ~pool s) in
-  let b_seq = Graph.encode g_seq and b_par = Graph.encode g_par in
-  Printf.printf "  %s: %d nodes, %d edges; build jobs=1 %.1fms, jobs=%d %.1fms\n"
-    (Graph.tag g_par) (Graph.n_nodes g_par) (Graph.n_edges g_par) (t_seq *. 1000.) par_jobs
-    (t_par *. 1000.);
-  if String.equal b_seq b_par then
-    print_endline "  graph determinism: jobs=1 and pooled encodings byte-identical: OK"
-  else begin
-    print_endline "  graph determinism: FAILED (pooled build differs from sequential)";
-    Atomic.set failed true
-  end;
-  if not (String.equal (Graph.encode (Graph.decode b_par)) b_par) then begin
-    print_endline "  graph codec: FAILED (decode . encode is not the identity)";
-    Atomic.set failed true
-  end;
-  (* cold persist through of_dataset, then a warm probe the way a second
-     process would come in: a fresh store handle on the same directory,
-     a raw Store.find + decode, and build_count must not move *)
-  let _, t_cold = time (fun () -> Graph.of_dataset ~pool ds v cfg) in
-  let builds0 = Graph.build_count () in
-  let store_w = Store.open_ ~dir:cache_dir () in
-  let warm, t_warm =
-    time (fun () ->
-        Store.find store_w ~ns:Graph.ns ~key:(Graph.store_key ds v cfg) ~decode:Graph.decode)
-  in
-  let warm_rebuilds = Graph.build_count () - builds0 in
-  (match warm with
-  | Some g_warm when String.equal (Graph.encode g_warm) b_par && warm_rebuilds = 0 ->
-      Printf.printf
-        "  warm load: %.1fms from the store, 0 rebuilds, byte-identical to the cold build: OK\n"
-        (t_warm *. 1000.)
-  | Some _ ->
-      Printf.printf
-        "  warm load gate: FAILED (stored graph differs from the cold build, or %d rebuilds)\n"
-        warm_rebuilds;
-      Atomic.set failed true
-  | None ->
-      print_endline "  warm load gate: FAILED (no stored graph under the graph namespace)";
-      Atomic.set failed true);
-  (* warm reverse-closure latency: the serve/CLI hot-path unit *)
-  let g = Graph.of_dataset ~pool ds v cfg in
-  let probe =
-    let d = Depset.Dep_func "vfs_fsync" in
-    if Graph.mem g d then d
-    else Depset.Dep_func (List.hd s.Surface.s_funcs).Surface.fe_name
-  in
-  let r = Stats.Reservoir.create () in
-  for _ = 1 to 200 do
-    let _, dt = time (fun () -> ignore (Graph.rclosure g probe)) in
-    Stats.Reservoir.add r (dt *. 1000.)
-  done;
-  let rclosure_p95 = Stats.Reservoir.quantile r 0.95 in
-  Printf.printf "  rclosure(%s): closure %d, p50 %.3fms, p95 %.3fms over 200 runs\n"
-    (Depset.dep_to_string probe)
-    (List.length (Graph.rclosure g probe))
-    (Stats.Reservoir.quantile r 0.5) rclosure_p95;
-  if rclosure_p95 >= 5. then begin
-    Printf.printf "  rclosure gate: FAILED (warm p95 %.3fms, budget 5ms)\n" rclosure_p95;
-    Atomic.set failed true
-  end
-  else Printf.printf "  rclosure gate: warm p95 %.3fms < 5ms: OK\n" rclosure_p95;
-  (* blast radius: take symbols the release diffs actually changed and
-     find one whose reverse closure reaches the corpus — the paper's
-     "which programs break next release" question end to end *)
-  let changed_funcs =
-    List.concat_map
-      (fun ((_, b), (d : Diff.t)) ->
-        List.map (fun (n, _) -> (b, n)) d.Diff.df_funcs.Diff.d_changed
-        @ List.map (fun n -> (b, n)) d.Diff.df_funcs.Diff.d_removed)
-      (Lazy.force release_diffs)
-  in
-  let blast_hit =
-    let rec go tries = function
-      | [] -> None
-      | _ when tries = 0 -> None
-      | (release, name) :: rest -> (
-          match Blast.query ~pool ds ~release (Depset.Dep_func name) with
-          | Ok r when r.Blast.bl_affected <> [] -> Some r
-          | _ -> go (tries - 1) rest)
-    in
-    go 25 changed_funcs
-  in
-  (match blast_hit with
-  | Some r ->
-      Printf.printf
-        "  blast: %s in %s -> closure %d, %d corpus program(s) transitively affected: OK\n"
-        (Depset.dep_to_string r.Blast.bl_node)
-        (Version.to_string r.Blast.bl_release)
-        r.Blast.bl_closure_size
-        (List.length r.Blast.bl_affected)
-  | None ->
-      print_endline
-        "  blast gate: FAILED (no changed symbol with a non-empty corpus blast radius in 25 \
-         probes)";
-      Atomic.set failed true);
-  let open Json in
-  let j =
-    with_trajectory "BENCH_GRAPH.json" ~metric:rclosure_p95
-      [
-        ("schema", String "depsurf-bench-graph/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("image", String (Graph.tag g_par));
-        ("nodes", Int (Graph.n_nodes g_par));
-        ("edges", Int (Graph.n_edges g_par));
-        ("build_seq_ms", Float (t_seq *. 1000.));
-        ("build_par_ms", Float (t_par *. 1000.));
-        ("cold_of_dataset_ms", Float (t_cold *. 1000.));
-        ("warm_load_ms", Float (t_warm *. 1000.));
-        ("warm_rebuilds", Int warm_rebuilds);
-        ("rclosure_p95_ms", Float rclosure_p95);
-        ( "blast",
-          match blast_hit with
-          | None -> Null
-          | Some r ->
-              Obj
-                [
-                  ("node", String (Depset.dep_to_string r.Blast.bl_node));
-                  ("release", String (Version.to_string r.Blast.bl_release));
-                  ("closure_size", Int r.Blast.bl_closure_size);
-                  ("affected", Int (List.length r.Blast.bl_affected));
-                ] );
-      ]
-  in
-  write_json_file "BENCH_GRAPH.json" j;
-  print_endline "(written to BENCH_GRAPH.json)";
-  if Atomic.get failed then begin
-    print_endline "graph check: FAILED";
-    exit 1
-  end
-  else
-    print_endline
-      "graph check: deterministic build, warm store load with 0 rebuilds, sub-5ms closures, \
-       non-empty corpus blast radius: OK"
-
-(* ------------------------------------------------------------------ *)
-(* Verifier diagnostics: cold verify, warm decode-only re-verify, fuzz  *)
-(* survival                                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Verify = Ds_verify.Verify
-
-let verify_bench () =
-  section "Verifier diagnostics: cold verify, warm re-verify, fuzz survival";
-  let failed = Atomic.make false in
-  let v = Version.v 5 4 and cfg = Config.x86_generic in
-  let obj =
-    snd (List.find (fun ((p : T7.profile), _) -> p.T7.pr_name = "biotop") (Lazy.force corpus))
-  in
-  let bytes = Ds_bpf.Obj.write obj in
-  let cold, t_cold = time (fun () -> Verify.of_dataset ds v cfg bytes) in
-  Printf.printf "  %s: %d program(s), %d rejected; cold verify %.1fms\n" cold.Verify.rp_obj
-    (List.length cold.Verify.rp_progs)
-    (List.length (Verify.findings cold))
-    (t_cold *. 1000.);
-  if Verify.findings cold <> [] then begin
-    print_endline "  clean-object gate: FAILED (corpus object rejected)";
-    Atomic.set failed true
-  end;
-  (* warm re-verify the way a second process would come in: a fresh
-     store handle on the same directory, a raw Store.find + decode, and
-     build_count must not move — decode-only, zero recomputes *)
-  let image = Ds_bpf.Vmlinux.tag (Dataset.vmlinux ds v cfg) in
-  let key = Verify.store_key ds ~image ~digest:(Verify.digest bytes) in
-  let builds0 = Atomic.get Verify.build_count in
-  let store_w = Store.open_ ~dir:cache_dir () in
-  let r = Stats.Reservoir.create () in
-  let warm = ref None in
-  for _ = 1 to 200 do
-    let w, dt =
-      time (fun () -> Store.find store_w ~ns:Verify.ns ~key ~decode:Verify.decode)
-    in
-    warm := w;
-    Stats.Reservoir.add r (dt *. 1000.)
-  done;
-  let warm_recomputes = Atomic.get Verify.build_count - builds0 in
-  let warm_p95 = Stats.Reservoir.quantile r 0.95 in
-  (match !warm with
-  | Some w when w = cold && warm_recomputes = 0 ->
-      Printf.printf
-        "  warm re-verify: p50 %.3fms, p95 %.3fms over 200 decode-only loads, 0 recomputes: OK\n"
-        (Stats.Reservoir.quantile r 0.5) warm_p95
-  | Some _ ->
-      Printf.printf
-        "  warm re-verify gate: FAILED (stored report differs from the cold verify, or %d \
-         recomputes)\n"
-        warm_recomputes;
-      Atomic.set failed true
-  | None ->
-      print_endline "  warm re-verify gate: FAILED (no stored report under the verify namespace)";
-      Atomic.set failed true);
-  if warm_p95 >= 10. then begin
-    Printf.printf "  warm re-verify gate: FAILED (p95 %.3fms, budget 10ms)\n" warm_p95;
-    Atomic.set failed true
-  end;
-  (* fuzz survival: instruction-stream mutants per program plus
-     whole-object mutants, all through the diagnostic pipeline — zero
-     crashes, every rejection classified to a taxonomy rule *)
-  let campaign =
-    List.fold_left
-      (fun acc prog -> Verify.merge acc (Verify.campaign_insns ~count:200 ~seed:42L prog))
-      (Verify.campaign_obj ~count:200 ~seed:42L bytes)
-      obj.Ds_bpf.Obj.o_progs
-  in
-  let crashed = List.length campaign.Verify.cp_crashed in
-  let survival =
-    100. *. float_of_int (campaign.Verify.cp_total - crashed)
-    /. float_of_int campaign.Verify.cp_total
-  in
-  Printf.printf
-    "  fuzz: %d mutants -> %d accepted, %d rejected across %d rule(s); survival %.1f%%, \
-     unclassified %d\n"
-    campaign.Verify.cp_total campaign.Verify.cp_accepted campaign.Verify.cp_rejected
-    (List.length campaign.Verify.cp_rules)
-    survival campaign.Verify.cp_unclassified;
-  if crashed > 0 || campaign.Verify.cp_unclassified > 0 then begin
-    Printf.printf
-      "  fuzz gate: FAILED (%d crash(es), %d unclassified rejection(s); survival and \
-       classification must be 100%%)\n"
-      crashed campaign.Verify.cp_unclassified;
-    Atomic.set failed true
-  end
-  else print_endline "  fuzz gate: 100% survival, every rejection classified: OK";
-  let open Json in
-  let j =
-    with_trajectory "BENCH_VERIFY.json" ~metric:warm_p95
-      [
-        ("schema", String "depsurf-bench-verify/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("image", String image);
-        ("object", String cold.Verify.rp_obj);
-        ("programs", Int (List.length cold.Verify.rp_progs));
-        ("cold_verify_ms", Float (t_cold *. 1000.));
-        ("warm_p95_ms", Float warm_p95);
-        ("warm_recomputes", Int warm_recomputes);
-        ("fuzz_mutants", Int campaign.Verify.cp_total);
-        ("fuzz_rejected", Int campaign.Verify.cp_rejected);
-        ("fuzz_crashed", Int crashed);
-        ("fuzz_unclassified", Int campaign.Verify.cp_unclassified);
-        ("fuzz_survival_pct", Float survival);
-        ( "fuzz_rules",
-          Obj (List.map (fun (id, n) -> (id, Int n)) campaign.Verify.cp_rules) );
-      ]
-  in
-  write_json_file "BENCH_VERIFY.json" j;
-  print_endline "(written to BENCH_VERIFY.json)";
-  if Atomic.get failed then begin
-    print_endline "verify check: FAILED";
-    exit 1
-  end
-  else
-    print_endline
-      "verify check: clean corpus object accepted, warm re-verify decode-only with 0 \
-       recomputes, 100% fuzz survival, every rejection classified: OK"
-
-(* ------------------------------------------------------------------ *)
-(* Release watch: warm delta ingest vs full re-extraction, O(changed)  *)
-(* ops, long-poll notification latency over a live socket              *)
-(* ------------------------------------------------------------------ *)
-
-module Watch = Ds_watch.Watch
-
-let watch_bench () =
-  section "Release watch: delta ingest, O(changed) ops, long-poll latency";
-  let failed = Atomic.make false in
-  let v = Version.v 5 4 and cfg = Config.x86_generic in
-  let base = (v, cfg) in
-  let s = x86 v in
-  let victim, next =
-    match s.Surface.s_funcs with
-    | f :: fs ->
-        ( f.Surface.fe_name,
-          Surface.v ~version:s.Surface.s_version ~arch:s.Surface.s_arch
-            ~flavor:s.Surface.s_flavor ~gcc:s.Surface.s_gcc ~funcs:fs
-            ~structs:s.Surface.s_structs ~tracepoints:s.Surface.s_tracepoints
-            ~syscalls:s.Surface.s_syscalls )
-    | [] -> failwith "bench surface has no funcs"
-  in
-  let payload = Codec.encode_surface next in
-  let w = Watch.create ~pool ds in
-  let bsub = Watch.subscribe w ~label:"bench" [ Depset.Dep_func victim ] in
-  (* image ingest: the cold pass pays one full surface extraction, the
-     warm pass must be decode-only — 0 extractions, served from the
-     store's delta tier *)
-  let img = Ds_elf.Elf.write (Dataset.image ds (Version.v 4 15) cfg) in
-  let ex0 = Watch.extractions w in
-  let r_cold, t_cold =
-    time (fun () -> Watch.ingest w ~base ~name:"evolved" (`Image img))
-  in
-  let cold_extractions = Watch.extractions w - ex0 in
-  (match r_cold with
-  | Ok r when (not r.Watch.ig_warm) && cold_extractions = 1 ->
-      Printf.printf "  cold image ingest: %.1fms, %d extraction, ops +%d -%d ~%d\n"
-        (t_cold *. 1000.) cold_extractions r.Watch.ig_ops.Delta.dc_adds
-        r.Watch.ig_ops.Delta.dc_removes r.Watch.ig_ops.Delta.dc_changes
-  | Ok _ ->
-      Printf.printf "  watch gate: FAILED (cold ingest warm=? extractions=%d)\n"
-        cold_extractions;
-      Atomic.set failed true
-  | Error e ->
-      Printf.printf "  watch gate: FAILED (cold ingest: %s)\n" e;
-      Atomic.set failed true);
-  let ex1 = Watch.extractions w in
-  let r_warm, t_warm =
-    time (fun () -> Watch.ingest w ~base ~name:"evolved" (`Image img))
-  in
-  let warm_extractions = Watch.extractions w - ex1 in
-  (match r_warm with
-  | Ok r when r.Watch.ig_warm && warm_extractions = 0 ->
-      Printf.printf
-        "  warm re-ingest gate: %.1fms vs %.1fms cold, 0 re-extractions: OK\n"
-        (t_warm *. 1000.) (t_cold *. 1000.)
-  | Ok r ->
-      Printf.printf "  warm re-ingest gate: FAILED (warm=%b, %d extraction(s))\n"
-        r.Watch.ig_warm warm_extractions;
-      Atomic.set failed true
-  | Error e ->
-      Printf.printf "  warm re-ingest gate: FAILED (%s)\n" e;
-      Atomic.set failed true);
-  (* O(changed): a release that drops exactly one func must cost exactly
-     one delta op (and no extraction at all for surface payloads), and
-     its event must reach the subscription *)
-  let one_ops, one_matched =
-    match Watch.ingest w ~base ~name:"one-symbol" (`Surface payload) with
-    | Ok r ->
-        let c = r.Watch.ig_ops in
-        ( c.Delta.dc_adds + c.Delta.dc_removes + c.Delta.dc_changes,
-          List.exists (fun (e : Watch.event) -> e.Watch.ev_sub = bsub.Watch.sb_id)
-            r.Watch.ig_events )
-    | Error e ->
-        Printf.printf "  one-symbol ingest: FAILED (%s)\n" e;
-        Atomic.set failed true;
-        (-1, false)
-  in
-  if one_ops = 1 && one_matched then
-    print_endline "  O(changed) gate: one dropped func = 1 delta op, event delivered: OK"
-  else begin
-    Printf.printf "  O(changed) gate: FAILED (%d op(s), matched=%b)\n" one_ops one_matched;
-    Atomic.set failed true
-  end;
-  (* byte-identical reconstruction through the wire format *)
-  let d = Delta.diff_surfaces ~base:s next in
-  let rebuilt = Delta.apply ~base:s (Delta.decode (Delta.encode d)) in
-  if String.equal (Codec.encode_surface rebuilt) payload then
-    print_endline "  reconstruction gate: apply(base, delta) byte-identical: OK"
-  else begin
-    print_endline "  reconstruction gate: FAILED (reconstructed surface differs)";
-    Atomic.set failed true
-  end;
-  (* long-poll notification latency over a live unix socket: park a
-     poller at the current cursor, ingest (warm), measure park-to-200.
-     The budget is 50ms — wakeup is the on_change listener, not the
-     accept loop's periodic sweep. *)
-  let srv = Serve.create ~ds ~pool () in
-  let sock = Filename.temp_file "depsurf-bench-watch" ".sock" in
-  Sys.remove sock;
-  let h = Serve.start srv (Serve.Unix_sock sock) in
-  let addr = Serve.bound_addr h in
-  let wsrv = Serve.watch srv in
-  let lsub = Watch.subscribe wsrv [ Depset.Dep_func victim ] in
-  let iters = 30 in
-  let r_lat = Stats.Reservoir.create () in
-  (try
-     for i = 1 to iters do
-       let since = Watch.cursor wsrv in
-       let poller =
-         Domain.spawn (fun () ->
-             let status, _, _ =
-               Serve.Client.request_full addr ~meth:"GET"
-                 ~path:(Printf.sprintf "/v1/watch/%s?since=%d&wait=5" lsub.Watch.sb_id since)
-             in
-             (status, now ()))
-       in
-       let deadline = now () +. 2. in
-       while Serve.parked_count srv = 0 && now () < deadline do
-         Unix.sleepf 0.002
-       done;
-       if Serve.parked_count srv = 0 then begin
-         Printf.printf "  long-poll gate: FAILED (poller %d never parked)\n" i;
-         Atomic.set failed true
-       end;
-       let t0 = now () in
-       let status, _, _ =
-         Serve.Client.request_full ~body:payload addr ~meth:"POST"
-           ~path:"/v1/watch/ingest?base=5.4-x86-generic&name=lp&kind=surface"
-       in
-       if status <> 200 then begin
-         Printf.printf "  long-poll gate: FAILED (ingest %d -> %d)\n" i status;
-         Atomic.set failed true
-       end;
-       let pstatus, t_recv = Domain.join poller in
-       if pstatus <> 200 then begin
-         Printf.printf "  long-poll gate: FAILED (poller %d -> %d)\n" i pstatus;
-         Atomic.set failed true
-       end;
-       Stats.Reservoir.add r_lat (Float.max 0. (t_recv -. t0) *. 1000.)
-     done
-   with e ->
-     Serve.stop h;
-     raise e);
-  Serve.stop h;
-  let notify_p50 = Stats.Reservoir.quantile r_lat 0.5 in
-  let notify_p95 = Stats.Reservoir.quantile r_lat 0.95 in
-  Printf.printf "  long-poll delivery: p50 %.2fms, p95 %.2fms over %d parked polls\n"
-    notify_p50 notify_p95 iters;
-  if notify_p95 >= 50. then begin
-    Printf.printf "  long-poll gate: FAILED (notification p95 %.2fms, budget 50ms)\n"
-      notify_p95;
-    Atomic.set failed true
-  end
-  else Printf.printf "  long-poll gate: notification p95 %.2fms < 50ms: OK\n" notify_p95;
-  let open Json in
-  let j =
-    with_trajectory "BENCH_WATCH.json" ~metric:notify_p95
-      [
-        ("schema", String "depsurf-bench-watch/1");
-        ("scale", String (if scale = Calibration.bench_scale then "bench" else "test"));
-        ("base", String (Watch.image_name base));
-        ("cold_image_ingest_ms", Float (t_cold *. 1000.));
-        ("warm_image_ingest_ms", Float (t_warm *. 1000.));
-        ("warm_extractions", Int warm_extractions);
-        ("one_symbol_ops", Int one_ops);
-        ("notify_p50_ms", Float notify_p50);
-        ("notify_p95_ms", Float notify_p95);
-        ("polls", Int iters);
-      ]
-  in
-  write_json_file "BENCH_WATCH.json" j;
-  print_endline "(written to BENCH_WATCH.json)";
-  if Atomic.get failed then begin
-    print_endline "watch check: FAILED";
-    exit 1
-  end
-  else
-    print_endline
-      "watch check: warm delta ingest with 0 re-extractions, 1 op per dropped symbol, \
-       byte-identical reconstruction, sub-50ms long-poll delivery: OK"
-
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* the serve sections run clients and server in this process: a shed
-     connection closed under a client's request write must surface as
-     EPIPE, not kill the harness *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some Logs.Warning);
   let t0 = now () in
   Printf.printf "DepSurf benchmark harness (seed %Ld, scale: %s)\n" (Dataset.seed ds)
     (if scale = Calibration.bench_scale then "bench (~1/25 of a real kernel)" else "test");
-  pipeline_timing ();
-  Printf.printf "\ndataset: %d images generated, compiled and parsed (evolve %.2fs)\n"
+  Printf.printf "\ndataset: %d study images (evolve %.2fs)\n"
     (List.length Dataset.study_images) t_evolve;
-  table1 env ();
+  table1 ();
   table2 ();
-  table3 env ();
+  table3 ();
   table4 ();
   table5 ();
   table6 ();
@@ -2369,7 +834,7 @@ let () =
   fig4 ();
   fig5 ();
   fig6 ();
-  table7 env ();
+  table7 ();
   table8 ();
   special_functions ();
   ablation_scale ();
@@ -2377,12 +842,6 @@ let () =
   ablation_composition ();
   ablation_threshold ();
   perf ();
-  robustness ();
   tracing ();
-  store_timing ();
-  serve_bench ();
-  graph_bench ();
-  verify_bench ();
-  watch_bench ();
   Par.shutdown pool;
   Printf.printf "\ntotal: %.1fs\n" (now () -. t0)

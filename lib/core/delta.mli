@@ -39,7 +39,7 @@ type counts = { dc_adds : int; dc_removes : int; dc_changes : int }
 
 val counts : t -> counts
 (** Total op counts across all four sections — the O(changed) bound the
-    bench gates on. *)
+    [ops proportional to change] test holds. *)
 
 val digest : Surface.t -> string
 (** Content digest of [Codec.encode_surface s]; the base-reference a

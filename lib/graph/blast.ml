@@ -58,11 +58,9 @@ let fate_of (d : Diff.t) (node : Depset.dep) =
 
 let fate = fate_of
 
-let closure g node = if Graph.mem g node then node :: Graph.rclosure g node else []
-
 let hit_set g ~changed =
   let tbl = Hashtbl.create 256 in
-  List.iter (fun node -> List.iter (fun d -> Hashtbl.replace tbl d ()) (closure g node)) changed;
+  List.iter (fun d -> Hashtbl.replace tbl d ()) (Graph.rreach g changed);
   tbl
 
 let hits g ~changed deps =
@@ -128,8 +126,7 @@ let query ?pool ds ~release node =
           bl_prev = prev;
           bl_removed = removed;
           bl_reasons = reasons;
-          (* the closure's length: the BFS yields distinct nodes and
-             never its start node *)
+          (* the walk yields distinct nodes, the start node included *)
           bl_closure_size = Hashtbl.length in_closure;
           bl_affected = affected;
         }

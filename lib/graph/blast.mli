@@ -42,7 +42,8 @@ val fate : Depsurf.Diff.t -> Depsurf.Depset.dep -> bool * string list
 val hit_set : Graph.t -> changed:Depsurf.Depset.dep list -> (Depsurf.Depset.dep, unit) Hashtbl.t
 (** Every construct transitively affected when the [changed] constructs
     disappear or change: the union, over [changed], of each node present
-    in the graph plus its reverse closure ({!Graph.rclosure}). *)
+    in the graph plus its reverse closure, computed by one
+    {!Graph.rreach} walk. *)
 
 val hits :
   Graph.t -> changed:Depsurf.Depset.dep list -> Depsurf.Depset.dep list -> Depsurf.Depset.dep list

@@ -158,22 +158,23 @@ let build ?pool (s : Surface.t) =
 let node_id g d = Hashtbl.find_opt g.g_ids d
 let mem g d = Option.is_some (node_id g d)
 
-let bfs adj start =
+(* Breadth-first from every start at once, one seen array for the whole
+   walk: each reachable node is visited and returned once, the starts
+   included. *)
+let bfs adj starts =
   let seen = Bytes.make (Array.length adj) '\000' in
-  Bytes.set seen start '\001';
   let q = Queue.create () in
-  Queue.push start q;
   let acc = ref [] in
+  let visit j =
+    if Bytes.get seen j = '\000' then begin
+      Bytes.set seen j '\001';
+      acc := j :: !acc;
+      Queue.push j q
+    end
+  in
+  List.iter visit starts;
   while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    Array.iter
-      (fun j ->
-        if Bytes.get seen j = '\000' then begin
-          Bytes.set seen j '\001';
-          acc := j :: !acc;
-          Queue.push j q
-        end)
-      adj.(i)
+    Array.iter visit adj.(Queue.pop q)
   done;
   !acc
 
@@ -189,10 +190,18 @@ let query g ~dir ~transitive d =
   | None -> None
   | Some i ->
       let adj = match dir with `Deps -> g.g_fwd | `Rdeps -> g.g_rev in
-      let ids = if transitive then bfs adj i else Array.to_list adj.(i) in
+      let ids =
+        if transitive then List.filter (( <> ) i) (bfs adj [ i ]) else Array.to_list adj.(i)
+      in
       Some (List.sort Depset.compare_dep (List.map (fun j -> g.g_nodes.(j)) ids))
 
 let rclosure g d = Option.value ~default:[] (query g ~dir:`Rdeps ~transitive:true d)
+
+let rreach g sources =
+  Ds_trace.Trace.span ~name:"graph.query"
+    ~attrs:[ ("sources", string_of_int (List.length sources)); ("dir", "rdeps") ]
+  @@ fun () ->
+  List.map (fun j -> g.g_nodes.(j)) (bfs g.g_rev (List.filter_map (node_id g) sources))
 
 (* ---------------------------- persistence ---------------------------- *)
 

@@ -42,8 +42,8 @@ val build : ?pool:Ds_util.Par.pool -> Depsurf.Surface.t -> t
 
 val build_count : unit -> int
 (** Process-wide number of graphs actually constructed (decoding a
-    stored graph does not count) — the bench asserts this stays flat
-    across a warm run. *)
+    stored graph does not count) — the [store warm load] test asserts
+    this stays flat across a warm run. *)
 
 val tag : t -> string
 (** The source surface's image tag (e.g. ["v5.4-x86-generic"]). *)
@@ -69,6 +69,14 @@ val query :
 val rclosure : t -> Depsurf.Depset.dep -> Depsurf.Depset.dep list
 (** [query ~dir:`Rdeps ~transitive:true], defaulting to [[]] for an
     unknown node — the reverse closure used by blast-radius queries. *)
+
+val rreach : t -> Depsurf.Depset.dep list -> Depsurf.Depset.dep list
+(** Every node that reaches any of the sources over reverse edges, the
+    sources themselves included, each once and in no particular order;
+    sources not in the graph are ignored. One walk with one seen array
+    for the whole list, so it equals the union of [d :: rclosure g d]
+    over the members [d] in the graph at the cost of a single closure.
+    Recorded as one ["graph.query"] span with a [sources] count. *)
 
 (** {2 Persistence (the {!Ds_store} ["graph"] namespace)} *)
 

@@ -1513,7 +1513,7 @@ let bound_addr h = h.h_addr
    ourselves so even a workerless 1-core pool completes them; (3) close
    the listener last and unlink the socket path. A connection the
    server accepted is therefore always answered, which is the
-   zero-dropped-connections contract the tests and bench assert. *)
+   zero-dropped-connections contract the tests assert. *)
 let stop h =
   if not (Atomic.get h.h_stop) then begin
     let t = h.h_serve in

@@ -165,7 +165,7 @@ val watch : t -> Ds_watch.Watch.t
 
 val parked_count : t -> int
 (** Long-pollers currently parked (fd held, no worker). Exposed for
-    tests and the bench. *)
+    tests. *)
 
 val metrics : t -> Ds_util.Metrics.t
 val dataset : t -> Depsurf.Dataset.t

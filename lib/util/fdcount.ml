@@ -1,5 +1,5 @@
 (* File-descriptor accounting via /proc/self/fd, for the leak
-   assertions shared by the socket chaos suite and the overload bench:
+   assertions of the socket chaos suite:
    count before, run the storm, count after, demand no growth. *)
 
 let count () =

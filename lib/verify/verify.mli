@@ -77,8 +77,9 @@ val verify_bytes : ?kernel:Ds_bpf.Vmlinux.t -> string -> report
     {!verify_prog} per program. Never raises. *)
 
 val build_count : int Atomic.t
-(** Incremented by every {!verify_bytes}; the bench asserts it stays
-    flat across a warm {!of_dataset} run (decode-only). *)
+(** Incremented by every {!verify_bytes}; the [store warm re-verify]
+    test asserts it stays flat across a warm {!of_dataset} run
+    (decode-only). *)
 
 (** {2 Persistence} *)
 

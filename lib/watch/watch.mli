@@ -79,7 +79,8 @@ val on_change : t -> (unit -> unit) -> unit
 
 val extractions : t -> int
 (** Full surface extractions this handle performed across all ingests —
-    the bench gates this stays 0 on warm delta-ingest. *)
+    it stays 0 on a warm delta ingest (the [image ingest warm path]
+    test). *)
 
 val ingest :
   t ->

@@ -119,6 +119,47 @@ let test_query_semantics () =
           true
           (List.mem (Depset.Dep_func impl) deps)
 
+(* The multi-source reverse walk behind [Blast.hit_set]: over random
+   changed sets, some holding a construct the graph does not know, one
+   walk (and the hit set built on it) equals the union of each member's
+   own closure, [d :: rclosure d], over the members in the graph, and
+   visits each node once. *)
+let qcheck_rreach_union =
+  let g = lazy (Graph.build (surface ())) in
+  let pool =
+    lazy
+      (let s = surface () in
+       Array.of_list
+         (List.map
+            (fun (f : Surface.func_entry) -> Depset.Dep_func f.Surface.fe_name)
+            s.Surface.s_funcs
+         @ List.map
+             (fun (sd : Ds_ctypes.Decl.struct_def) -> Depset.Dep_struct sd.Ds_ctypes.Decl.sname)
+             s.Surface.s_structs
+         @ List.map (fun sc -> Depset.Dep_syscall sc) s.Surface.s_syscalls))
+  in
+  let outside = Depset.Dep_func "no_such_fn_xyz" in
+  let gen = QCheck.Gen.(pair (list_size (int_range 0 40) (int_bound 1_000_000)) bool) in
+  QCheck.Test.make ~name:"rreach equals the union of per-node closures" ~count:100
+    (QCheck.make gen) (fun (picks, with_outside) ->
+      let g = Lazy.force g and pool = Lazy.force pool in
+      let changed = List.map (fun i -> pool.(i mod Array.length pool)) picks in
+      let changed = if with_outside then outside :: changed else changed in
+      let expected =
+        List.sort_uniq Depset.compare_dep
+          (List.concat_map
+             (fun d -> if Graph.mem g d then d :: Graph.rclosure g d else [])
+             changed)
+      in
+      let walk = Graph.rreach g changed in
+      let hit_keys =
+        List.sort Depset.compare_dep
+          (Hashtbl.fold (fun d () acc -> d :: acc) (Blast.hit_set g ~changed) [])
+      in
+      List.length walk = List.length expected
+      && List.sort Depset.compare_dep walk = expected
+      && hit_keys = expected)
+
 let test_store_warm_load () =
   let dir = Filename.temp_file "ds-graph-store" "" in
   Sys.remove dir;
@@ -304,6 +345,7 @@ let suites =
         Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
         Alcotest.test_case "codec corruption" `Quick test_codec_corruption;
         Alcotest.test_case "query semantics" `Quick test_query_semantics;
+        QCheck_alcotest.to_alcotest qcheck_rreach_union;
         Alcotest.test_case "store warm load" `Quick test_store_warm_load;
         Alcotest.test_case "views" `Quick test_views;
         Alcotest.test_case "blast radius" `Slow test_blast;

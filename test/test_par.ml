@@ -205,7 +205,7 @@ let test_cached_diffs_parallel_equal () =
   Alcotest.(check bool) "config diffs identical" true (seq_cfg = snd par)
 
 (* DEPSURF_JOBS=1 and DEPSURF_JOBS=4 must render the same Report.matrix
-   for the seed dataset (the golden-equality guard of the bench). *)
+   for the seed dataset: the jobs=1 vs jobs=N determinism guard. *)
 let test_golden_matrix_jobs () =
   let baseline = (Version.v 5 4, Config.x86_generic) in
   let matrix_render ~jobs =

@@ -806,12 +806,38 @@ let test_admission_lattice () =
 (* stampede past the limit: the overflow is shed inline with a 503 and
    a Retry-After while admitted connections still get answered *)
 let test_shed_under_overload () =
-  with_limited_server (mk_limits ~max_inflight:2 ~read_s:1.0 ()) @@ fun t _ ->
+  with_limited_server (mk_limits ~max_inflight:2 ~read_s:1.0 ()) @@ fun t pool ->
   let path = temp_sock () in
   let h = Serve.start t (Serve.Unix_sock path) in
+  let release = Atomic.make false in
   Fun.protect
-    ~finally:(fun () -> Serve.stop h)
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Serve.stop h)
     (fun () ->
+      (* Hold every pool executor, the accept loop included (it runs
+         queued tasks between selects), until all six connects are in
+         the listen backlog: the loop then meets the whole stampede in
+         one accept burst. Otherwise a connect landing while the loop
+         itself waits out an admitted connection's read timeout finds
+         that slot free again, and more than two are admitted. The pool
+         spawns one worker domain fewer than the tasks it runs at once,
+         so once that many blockers run, one runs on the accept loop. *)
+      let executors = min (Par.jobs pool) (Domain.recommended_domain_count ()) in
+      let started = Atomic.make 0 in
+      for _ = 1 to executors do
+        ignore
+          (Par.submit pool (fun () ->
+               Atomic.incr started;
+               while not (Atomic.get release) do
+                 Unix.sleepf 0.001
+               done))
+      done;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Atomic.get started < executors && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check int) "every executor held" executors (Atomic.get started);
       (* idle connections: each admitted one parks in the read until its
          timeout, holding its slot, so the later ones must shed *)
       let conns =
@@ -820,6 +846,7 @@ let test_shed_under_overload () =
             Unix.connect fd (Unix.ADDR_UNIX path);
             fd)
       in
+      Atomic.set release true;
       let read_all fd =
         let buf = Buffer.create 1024 in
         let chunk = Bytes.create 1024 in

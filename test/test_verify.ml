@@ -237,6 +237,38 @@ let test_garbage_bytes_report () =
   Alcotest.(check bool) "fatal diag" true (Diag.worst r.V.rp_diags = Some Diag.Fatal);
   Alcotest.(check int) "fatal exit" 1 (Diag.exit_code r.V.rp_diags)
 
+(* A warm re-verify is decode-only: a second store handle on the same
+   directory (what a later process opens) finds the report [of_dataset]
+   persisted for a corpus object, equal to the cold one, and
+   [build_count] does not move. *)
+let test_store_warm_reverify () =
+  let dir = Filename.temp_file "ds-verify-store" "" in
+  Sys.remove dir;
+  let store = Ds_store.Store.open_ ~dir () in
+  let ds = Depsurf.Dataset.build ~seed:7L ~store Ds_ksrc.Calibration.test_scale in
+  let v = Ds_ksrc.Version.v 5 4 and cfg = Ds_ksrc.Config.x86_generic in
+  let obj =
+    List.assoc "biotop"
+      (List.map
+         (fun ((pr : Ds_corpus.Table7.profile), o) -> (pr.Ds_corpus.Table7.pr_name, o))
+         (Ds_corpus.Corpus.build_all ds ()))
+  in
+  let bytes = Obj.write obj in
+  let builds0 = Atomic.get V.build_count in
+  let cold = V.of_dataset ds v cfg bytes in
+  Alcotest.(check int) "cold verify runs once" 1 (Atomic.get V.build_count - builds0);
+  Alcotest.(check int) "corpus object accepted" 0 (List.length (V.findings cold));
+  let image = Vmlinux.tag (Depsurf.Dataset.vmlinux ds v cfg) in
+  let store2 = Ds_store.Store.open_ ~dir () in
+  (match
+     Ds_store.Store.find store2 ~ns:V.ns
+       ~key:(V.store_key ds ~image ~digest:(V.digest bytes))
+       ~decode:V.decode
+   with
+  | Some warm -> Alcotest.(check bool) "stored report equals the cold one" true (warm = cold)
+  | None -> Alcotest.fail "report not persisted under the verify namespace");
+  Alcotest.(check int) "warm load is decode-only" 1 (Atomic.get V.build_count - builds0)
+
 (* ---- properties: never raise, always classify ----------------------- *)
 
 (* arbitrary instruction lists, biased to straddle every rule boundary:
@@ -334,6 +366,7 @@ let suites =
         Alcotest.test_case "taxonomy closed" `Quick test_taxonomy_closed;
         Alcotest.test_case "report + codec" `Quick test_report_and_codec;
         Alcotest.test_case "garbage bytes" `Quick test_garbage_bytes_report;
+        Alcotest.test_case "store warm re-verify" `Quick test_store_warm_reverify;
         Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke;
         QCheck_alcotest.to_alcotest qcheck_verify_total;
         QCheck_alcotest.to_alcotest qcheck_stream_total;
