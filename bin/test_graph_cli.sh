@@ -43,7 +43,7 @@ if "$CLI" graph deps "bogus:x" > /dev/null 2>&1; then
 fi
 
 # unknown nodes are a valid empty answer
-"$CLI" graph rdeps no_such_fn_zzz --json | grep -q '"found": false'
+"$CLI" graph rdeps no_such_fn_zzz --json | grep -q '"found":false'
 
 # determinism: the JSON document is byte-identical whatever the pool size
 "$CLI" graph rdeps func:vfs_fsync --transitive --json --jobs 1 > "$TMP/j1.json"
@@ -63,8 +63,8 @@ cmp "$TMP/cold.json" "$TMP/j1.json"
 "$CLI" graph blast blk_account_io_start --release 5.8 > "$TMP/blast.tbl"
 grep -q "biotop" "$TMP/blast.tbl"
 "$CLI" graph blast blk_account_io_start --release 5.8 --json > "$TMP/blast.json"
-grep -q '"program": "biotop"' "$TMP/blast.json"
-grep -q '"prev": "v5.4"' "$TMP/blast.json"
+grep -q '"program":"biotop"' "$TMP/blast.json"
+grep -q '"prev":"v5.4"' "$TMP/blast.json"
 
 # the first study release has no predecessor to diff against
 if "$CLI" graph blast vfs_fsync --release 4.4 > /dev/null 2>&1; then

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end exercise of the query service through the CLI: serve over a
 # Unix socket, hit every endpoint with `depsurf query`, check that a
-# degraded on-disk image answers HTTP 200 (with "health": "degraded",
+# degraded on-disk image answers HTTP 200 (with "health":"degraded",
 # never a 500), compare /v1/mismatch byte-for-byte with `depsurf report`,
 # check that an object with a bad BTF type id is a 400 and a fatal CLI
 # diagnostic with the same wording,
@@ -65,19 +65,21 @@ done
 [ -S "$SOCK" ]
 
 Q() { $TO "$CLI" query --socket "$SOCK" "$@"; }
+# the first integer member KEY of a one-line JSON body
+json_int() { grep -o "\"$1\":[0-9]*" "$2" | head -n 1 | sed 's/.*://'; }
 
 # every endpoint answers
-Q /v1/healthz | grep -q '"status": "ok"'
+Q /v1/healthz | grep -q '"status":"ok"'
 Q /v1/images > "$TMP/images.json"
 grep -q '"5.4-x86-generic"' "$TMP/images.json"
 grep -q '"vmlinux-degraded"' "$TMP/images.json"
-Q /v1/surface/5.4-x86-generic | grep -q '"health": "clean"'
+Q /v1/surface/5.4-x86-generic | grep -q '"health":"clean"'
 Q "/v1/surface/4.4-x86-generic?kind=func&name=vfs_fsync" | grep -q '"vfs_fsync"'
 Q /v1/diff/4.4-x86-generic/5.4-x86-generic | grep -q '"across_versions"'
 
 # the degraded image is HTTP 200 (query exits 0) with its health visible
 Q /v1/surface/vmlinux-degraded > "$TMP/degraded.json"
-grep -q '"health": "degraded"' "$TMP/degraded.json"
+grep -q '"health":"degraded"' "$TMP/degraded.json"
 grep -q '"diagnostics"' "$TMP/degraded.json"
 
 # errors are still errors: unknown image -> 404 -> exit 1
@@ -100,7 +102,7 @@ for route in /healthz /images /surface/5.4-x86-generic \
 done
 
 # the envelope carries the API version on every JSON endpoint
-Q /v1/healthz | grep -q '"v": 1'
+Q /v1/healthz | grep -q '"v":1'
 
 # every request is traced: /v1/trace/recent reports finished spans
 Q /v1/trace/recent > "$TMP/trace.json"
@@ -140,14 +142,14 @@ grep -q "\"$BAD_BTF\"" "$TMP/badbtf.srv"
 "$CLI" doctor --json "$TMP/biotop.bpf.o" > "$TMP/verify.cli"
 Q --data "$TMP/biotop.bpf.o" /v1/verify > "$TMP/verify.srv"
 cmp "$TMP/verify.cli" "$TMP/verify.srv"
-grep -q '"health": "clean"' "$TMP/verify.srv"
+grep -q '"health":"clean"' "$TMP/verify.srv"
 
 # a rejected program is data on both surfaces: the server answers 200
-# with "health": "degraded" and the named taxonomy rule, the doctor
+# with "health":"degraded" and the named taxonomy rule, the doctor
 # exits 2 (degraded) with the same envelope
 "$CLI" mkobj --tool biotop --sabotage --out "$TMP/bad.bpf.o" > /dev/null
 Q --data "$TMP/bad.bpf.o" /v1/verify > "$TMP/verify.bad.srv"
-grep -q '"health": "degraded"' "$TMP/verify.bad.srv"
+grep -q '"health":"degraded"' "$TMP/verify.bad.srv"
 grep -q '"unsafe-load-scalar"' "$TMP/verify.bad.srv"
 set +e
 "$CLI" doctor --json "$TMP/bad.bpf.o" > "$TMP/verify.bad.cli"
@@ -209,15 +211,15 @@ while [ $i -lt 50 ]; do
   i=$((i + 1))
 done
 Q /v1/metrics > "$TMP/metrics.json"
-total=$(sed -n 's/^ *"requests_total": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+total=$(json_int requests_total "$TMP/metrics.json")
 [ "$total" -ge 58 ]
-ihits=$(sed -n 's/^ *"index.hit.surface": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+ihits=$(json_int index.hit.surface "$TMP/metrics.json")
 [ "$ihits" -ge 50 ]
-chits=$(sed -n 's/^ *"cache.hit": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+chits=$(json_int cache.hit "$TMP/metrics.json")
 [ "$chits" -ge 1 ]
-notmod=$(sed -n 's/^ *"cache.notmod": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+notmod=$(json_int cache.notmod "$TMP/metrics.json")
 [ "$notmod" -ge 1 ]
-fills=$(sed -n 's/^ *"index.fill.surface": \([0-9]*\).*/\1/p' "$TMP/metrics.json" | head -n 1)
+fills=$(json_int index.fill.surface "$TMP/metrics.json")
 [ "$fills" -le 3 ]
 grep -q '"response_cache"' "$TMP/metrics.json"
 grep -q '"latency_ms"' "$TMP/metrics.json"
@@ -242,7 +244,7 @@ while [ $i -lt 100 ]; do
 done
 PORT=$(sed -n 's/.*listening on tcp:127\.0\.0\.1:\([0-9][0-9]*\).*/\1/p' "$TMP/tcp.log" | head -n 1)
 [ -n "$PORT" ] && [ "$PORT" -gt 0 ]
-$TO "$CLI" query --port "$PORT" /v1/healthz | grep -q '"status": "ok"'
+$TO "$CLI" query --port "$PORT" /v1/healthz | grep -q '"status":"ok"'
 if $TO "$CLI" query --port "$PORT" /healthz > /dev/null; then
   echo "unprefixed /healthz answered over tcp" >&2; exit 1
 fi

@@ -50,7 +50,8 @@ start_server() {
   [ -S "$SOCK" ]
 }
 
-json_id() { sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$1" | head -n 1; }
+# the first string member "id" of a one-line JSON body
+json_id() { grep -o '"id":"[^"]*"' "$1" | head -n 1 | sed 's/"id":"\(.*\)"/\1/'; }
 
 echo "== watch e2e: images"
 $TO "$CLI" gen-images --dir "$TMP/img" > /dev/null
@@ -63,17 +64,10 @@ start_server
 # report it removed, which is the mismatch the subscription must catch.
 # Fall back to a changed func (a Change op notifies the same way).
 Q /v1/diff/5.4-x86-generic/4.15-x86-generic > "$TMP/diff.json"
-VICTIM=$(awk '
-  /"funcs": \{/ { infuncs = 1 }
-  infuncs && /"structs": \{/ { exit }
-  infuncs && /"removed": \[$/ { getline; gsub(/[ ",]/, ""); print; exit }
-' "$TMP/diff.json")
+VICTIM=$(sed -n 's/.*"funcs":{"common":[0-9]*,"added":\[[^]]*\],"removed":\["\([^"]*\)".*/\1/p' \
+  "$TMP/diff.json")
 if [ -z "$VICTIM" ]; then
-  VICTIM=$(awk '
-    /"funcs": \{/ { infuncs = 1 }
-    infuncs && /"structs": \{/ { exit }
-    infuncs && /"name": "/ { sub(/.*"name": "/, ""); sub(/".*/, ""); print; exit }
-  ' "$TMP/diff.json")
+  VICTIM=$(sed -n 's/.*"funcs":{[^{]*"changed":\[{"name":"\([^"]*\)".*/\1/p' "$TMP/diff.json")
 fi
 [ -n "$VICTIM" ] || { echo "no func differs between 5.4 and 4.15" >&2; exit 1; }
 echo "== watch e2e: victim func $VICTIM"
@@ -96,28 +90,28 @@ FOL=$!
 sleep 1
 $TO "$CLI" watch ingest --socket "$SOCK" --base 5.4-x86-generic --name sabotaged \
   "$RELEASE" > "$TMP/ingest.json"
-grep -q '"warm": false' "$TMP/ingest.json"
-grep -q '"matched": 1' "$TMP/ingest.json"
+grep -q '"warm":false' "$TMP/ingest.json"
+grep -q '"matched":1' "$TMP/ingest.json"
 wait "$FOL"
-grep -q '"release": "sabotaged"' "$TMP/follow.out"
+grep -q '"release":"sabotaged"' "$TMP/follow.out"
 grep -q "func:$VICTIM" "$TMP/follow.out"
 
 echo "== watch e2e: cursor replay is byte-identical"
 Q "/v1/watch/$ID?since=0" > "$TMP/replay1.json"
 Q "/v1/watch/$ID?since=0" > "$TMP/replay2.json"
 cmp "$TMP/replay1.json" "$TMP/replay2.json"
-CURSOR=$(sed -n 's/^ *"cursor": \([0-9]*\).*/\1/p' "$TMP/replay1.json" | head -n 1)
+CURSOR=$(grep -o '"cursor":[0-9]*' "$TMP/replay1.json" | head -n 1 | sed 's/.*://')
 [ -n "$CURSOR" ]
 # past the cursor there is nothing yet: 204, empty body (query prints nothing)
 PAST=$(Q "/v1/watch/$ID?since=$CURSOR")
 [ -z "$PAST" ]
 
 echo "== watch e2e: warm re-ingest, no new extraction"
-Q /v1/metrics | grep -q '"extractions": 1'
+Q /v1/metrics | grep -q '"extractions":1'
 $TO "$CLI" watch ingest --socket "$SOCK" --base 5.4-x86-generic --name sabotaged \
   "$RELEASE" > "$TMP/ingest2.json"
-grep -q '"warm": true' "$TMP/ingest2.json"
-Q /v1/metrics | grep -q '"extractions": 1'
+grep -q '"warm":true' "$TMP/ingest2.json"
+Q /v1/metrics | grep -q '"extractions":1'
 
 echo "== watch e2e: unprefixed paths answer the /v1 pointer"
 if Q "/watch/$ID?since=0" > "$TMP/unprefixed.out" 2>&1; then
@@ -133,7 +127,7 @@ start_server
 $TO "$CLI" watch list --socket "$SOCK" | grep -q "$ID"
 Q "/v1/watch/$ID?since=0" > "$TMP/replayed.json"
 cmp "$TMP/final.json" "$TMP/replayed.json"
-Q /v1/healthz | grep -q '"status": "ok"'
+Q /v1/healthz | grep -q '"status":"ok"'
 
 echo "== watch e2e: unregister"
 $TO "$CLI" watch unregister --socket "$SOCK" "$ID" > /dev/null

@@ -187,7 +187,13 @@ let surface_of_source t name = function
 
 (* ---- JSON plumbing ------------------------------------------------- *)
 
-let json_body j = Json.to_string j ^ "\n"
+(* one buffer: a multi-MB document is never copied to append its newline *)
+let json_body j =
+  let buf = Buffer.create 4096 in
+  Json.write buf j;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let ok_json j = (200, "application/json", json_body j)
 
 let etag_of_body body = "\"" ^ Store.Hash.digest body ^ "\""
@@ -237,7 +243,9 @@ let document t memo kind key render =
            already-over-deadline request gives its worker back here *)
         Deadline.check ();
         Metrics.incr t.sv_metrics ("index.fill." ^ kind);
-        entry (200, "application/json", render ())
+        let body = Trace.span ~name:"serve.render" render in
+        let e_etag = Trace.span ~name:"serve.etag" (fun () -> etag_of_body body) in
+        { Respcache.e_status = 200; e_ctype = "application/json"; e_body = body; e_etag }
       in
       cached (Par.Memo.find_or_compute memo key fill) "miss"
 

@@ -9,62 +9,62 @@ type t =
 
 exception Parse_error of string
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_string ?(indent = 2) t =
-  let buf = Buffer.create 256 in
-  let pad depth = String.make (depth * indent) ' ' in
-  let rec go depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f -> Buffer.add_string buf (Printf.sprintf "%g" f)
-    | String s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-        Buffer.add_string buf "[\n";
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf (pad (depth + 1));
-            go (depth + 1) item)
-          items;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad depth);
-        Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-        Buffer.add_string buf "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string buf ",\n";
-            Buffer.add_string buf (pad (depth + 1));
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\": ";
-            go (depth + 1) v)
-          fields;
-        Buffer.add_char buf '\n';
-        Buffer.add_string buf (pad depth);
-        Buffer.add_char buf '}'
+(* one pass: runs of bytes that need no escape are copied whole *)
+let write_string buf s =
+  let flush start i = if i > start then Buffer.add_substring buf s start (i - start) in
+  let rec go start i =
+    if i = String.length s then flush start i
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\' | '\000' .. '\031') as c ->
+          flush start i;
+          Buffer.add_string buf
+            (match c with
+            | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n" | '\r' -> "\\r" | '\t' -> "\\t"
+            | c -> Printf.sprintf "\\u%04x" (Char.code c));
+          go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
   in
-  go 0 t;
+  Buffer.add_char buf '"';
+  go 0 0;
+  Buffer.add_char buf '"'
+
+(* the shortest %.15g..%.17g spelling that reads back as the same float,
+   ".0" added where it would read back as an [Int]; JSON has no nan/inf *)
+let float_repr f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  if not (Float.is_finite f) then "null"
+  else
+    let s = go 15 in
+    if String.exists (function '.' | 'e' -> true | _ -> false) s then s else s ^ ".0"
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Buffer.add_string buf (float_repr f)
+  | String s -> write_string buf s
+  | List items ->
+      Buffer.add_char buf '[';
+      List.iteri (fun i v -> if i > 0 then Buffer.add_char buf ','; write buf v) items;
+      Buffer.add_char buf ']'
+  | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          write_string buf k;
+          Buffer.add_char buf ':';
+          write buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let to_string t =
+  let buf = Buffer.create 256 in
+  write buf t;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

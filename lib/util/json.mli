@@ -12,8 +12,13 @@ type t =
 
 exception Parse_error of string
 
-val to_string : ?indent:int -> t -> string
-(** Pretty-print; [indent] spaces per level (default 2). *)
+val write : Buffer.t -> t -> unit
+(** Append the compact spelling: no whitespace between tokens, strings
+    escaped, a [Float] in the shortest form that {!of_string} reads back
+    as the same float, a non-finite one as [null]. *)
+
+val to_string : t -> string
+(** {!write} into a fresh string. *)
 
 val of_string : string -> t
 (** Parse. Raises {!Parse_error} on malformed input. Numbers without [.],

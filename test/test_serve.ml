@@ -119,6 +119,44 @@ let test_single_flight () =
   Alcotest.(check int) "warm hit" (hits0 + 1) (Metrics.counter m "index.hit.surface");
   Alcotest.(check int) "still one fill" 1 (Metrics.counter m "index.fill.surface")
 
+(* a served document is the compact rendering of its tree plus one
+   newline, and its ETag is the hash of exactly those bytes *)
+let test_document_bytes_and_etag () =
+  with_server @@ fun t _ ->
+  let st, _, hdrs, body = get4 t "/v1/surface/4.4-x86-generic" in
+  Alcotest.(check int) "surface status" 200 st;
+  let s = Dataset.surface (Lazy.force ds) (Version.v 4 4) Config.x86_generic in
+  let tree = Api.of_diags ~data:(Export.surface_with_health s) (Surface.health s) in
+  Alcotest.(check string) "body is to_string tree ^ newline" (Json.to_string tree ^ "\n") body;
+  Alcotest.(check (option string)) "etag hashes the body"
+    (Some ("\"" ^ Ds_store.Store.Hash.digest body ^ "\""))
+    (List.assoc_opt "ETag" hdrs)
+
+(* a document fill runs one serve.render and one serve.etag span under
+   its serve.request; a memo hit runs neither *)
+let test_document_fill_spans () =
+  with_server @@ fun t _ ->
+  let count target =
+    let _, _, body = get t target in
+    let sps =
+      match Json.member "trace" (Json.of_string body) with
+      | Some (Json.List l) -> l
+      | _ -> Alcotest.fail "?trace=1 must append the request's spans"
+    in
+    let int k j = match Json.member k j with Some (Json.Int n) -> n | _ -> -1 in
+    let named n j = Json.member "name" j = Some (Json.String n) in
+    let root =
+      match List.find_opt (named "serve.request") sps with
+      | Some r -> int "id" r
+      | None -> Alcotest.fail "no serve.request span"
+    in
+    let under n = List.length (List.filter (fun j -> named n j && int "parent" j = root) sps) in
+    (under "serve.render", under "serve.etag")
+  in
+  let target = "/v1/surface/4.15-x86-generic?trace=1" in
+  Alcotest.(check (pair int int)) "fill: one render, one etag" (1, 1) (count target);
+  Alcotest.(check (pair int int)) "memo hit: none" (0, 0) (count target)
+
 (* ---- /mismatch ------------------------------------------------------ *)
 
 let corpus_obj name =
@@ -1182,21 +1220,17 @@ let test_cache_key_effective_params () =
    body is rendered by Api.error_envelope, so this is the contract
    error-handling clients parse against *)
 let test_error_envelope_golden () =
+  with_server @@ fun t _ ->
+  let st, _, _, body =
+    Serve.handle_request t ~meth:"POST" ~target:"/v1/verify" ~body:{|{"v": 1, "x": 1}|}
+  in
+  Alcotest.(check int) "bad envelope -> 400" 400 st;
   Alcotest.(check string) "error envelope bytes"
-    "{\n\
-    \  \"v\": 1,\n\
-    \  \"health\": \"fatal\",\n\
-    \  \"data\": {\n\
-    \    \"error\": \"method not allowed\",\n\
-    \    \"status\": 405\n\
-    \  },\n\
-    \  \"diagnostics\": [\n\
-    \    \"method not allowed\",\n\
-    \    \"use GET\"\n\
-    \  ]\n\
-     }"
-    (Json.to_string
-       (Api.error_envelope ~status:405 ~diagnostics:[ "use GET" ] "method not allowed"))
+    ({|{"v":1,"health":"fatal","data":{"error":"invalid request envelope","status":400},|}
+   ^ {|"diagnostics":["invalid request envelope",|}
+   ^ {|"unknown envelope member \"x\" (expected v, params, body)"]}|}
+   ^ "\n")
+    body
 
 let test_error_envelope_uniform () =
   with_server @@ fun t _ ->
@@ -1530,6 +1564,8 @@ let suites =
         Alcotest.test_case "routing" `Quick test_routing;
         Alcotest.test_case "surface queries" `Quick test_surface_queries;
         Alcotest.test_case "single-flight hydration" `Quick test_single_flight;
+        Alcotest.test_case "document bytes and etag" `Quick test_document_bytes_and_etag;
+        Alcotest.test_case "document fill spans" `Quick test_document_fill_spans;
         Alcotest.test_case "mismatch byte-identity" `Slow test_mismatch_identity;
         Alcotest.test_case "verify endpoint" `Slow test_verify_endpoint;
         Alcotest.test_case "metrics document" `Quick test_metrics_document;

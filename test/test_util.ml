@@ -196,6 +196,18 @@ let test_json_literals_numbers () =
   (* large integers stay exact ints *)
   Alcotest.(check bool) "big int" true (Json.of_string "123456789012345" = Json.Int 123456789012345)
 
+let test_json_floats () =
+  let round f = Json.of_string (Json.to_string (Json.Float f)) in
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "%h reads back" f) true (round f = Json.Float f))
+    [ 0.1; 1.0; -0.5; 1e300; 5e-324; 0.1 +. 0.2; 1760890123.456789; float_of_int max_int ];
+  Alcotest.(check string) "integral float keeps a point" "250.0" (Json.to_string (Json.Float 250.));
+  Alcotest.(check string) "shortest spelling" "0.1" (Json.to_string (Json.Float 0.1));
+  List.iter
+    (fun f -> Alcotest.(check string) "non-finite is null" "null" (Json.to_string (Json.Float f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_table_render () =
   let t = Texttable.create ~title:"T" [ ("a", Texttable.L); ("b", Texttable.R) ] in
   Texttable.row t [ "x"; "1" ];
@@ -551,6 +563,7 @@ let suites =
       [
         Alcotest.test_case "string escapes" `Quick test_json_escapes;
         Alcotest.test_case "literals and numbers" `Quick test_json_literals_numbers;
+        Alcotest.test_case "floats round-trip" `Quick test_json_floats;
       ] );
     ( "util.table",
       [

@@ -267,6 +267,20 @@ let test_on_change_listener () =
   | Error m -> Alcotest.fail m);
   Alcotest.(check int) "listener fired on new events" 1 !fired
 
+(* an event's Unix timestamp survives the wire to the microsecond *)
+let test_event_time_roundtrip () =
+  let ev_time = 1760890123.456789 in
+  let e =
+    {
+      Watch.ev_seq = 1; ev_sub = "s"; ev_release = "r"; ev_base = "5.4-x86-generic";
+      ev_hits = []; ev_reasons = []; ev_time;
+    }
+  in
+  let j = Ds_util.Json.of_string (Ds_util.Json.to_string (Watch.event_json e)) in
+  match Ds_util.Json.member "time" j with
+  | Some (Ds_util.Json.Float f) -> Alcotest.(check (float 1e-6)) "time" ev_time f
+  | _ -> Alcotest.fail "event time is not a float"
+
 let suites =
   [
     ( "watch",
@@ -283,5 +297,6 @@ let suites =
           test_state_key_stable;
         Alcotest.test_case "ingest errors" `Quick test_ingest_errors;
         Alcotest.test_case "on_change listener" `Quick test_on_change_listener;
+        Alcotest.test_case "event time round-trips" `Quick test_event_time_roundtrip;
       ] );
   ]
