@@ -875,7 +875,8 @@ let serve_cmd =
                    leniently, keyed by file name).")
   in
   let run seed scale cache jobs socket port host images_dir =
-    (* one worker owns the accept loop, so serving needs at least 2 *)
+    (* Serve.start refuses a pool of fewer than 2 workers: the accept
+       loop runs on its own domain, the pool runs connection handlers *)
     let jobs =
       match jobs with
       | Some n when n < 2 ->

@@ -73,13 +73,13 @@ let decode_maps data =
           | 0 -> Maps.Hash
           | 1 -> Maps.Array
           | 2 -> Maps.Percpu_array ncpu
-          | t -> raise (Bad_obj (Printf.sprintf ".maps: bad type %d" t))
+          | t -> raise (Bad_obj (Printf.sprintf "bad type %d" t))
         in
         let md_key_size = Bytesio.Reader.u32 r in
         let md_value_size = Bytesio.Reader.u32 r in
         let md_max_entries = Bytesio.Reader.u32 r in
         Maps.{ md_name; md_type; md_key_size; md_value_size; md_max_entries })
-  with Bytesio.Truncated _ -> raise (Bad_obj ".maps: truncated")
+  with Bytesio.Truncated _ -> raise (Bad_obj "truncated")
 
 (* ".depsurf.kfuncs": count u32, then per prog: section cstring, count
    u32, names. *)
@@ -103,7 +103,7 @@ let decode_kfuncs data =
         let section = Bytesio.Reader.cstring r in
         let k = Bytesio.Reader.u32 r in
         (section, List.init k (fun _ -> Bytesio.Reader.cstring r)))
-  with Bytesio.Truncated _ -> raise (Bad_obj ".depsurf.kfuncs: truncated")
+  with Bytesio.Truncated _ -> raise (Bad_obj "truncated")
 
 let btf_ext_magic = 0xEB9F
 
@@ -159,26 +159,29 @@ let encode_btf_ext progs =
 let decode_btf_ext data =
   let r = Bytesio.Reader.of_string data in
   let fail m = raise (Bad_obj m) in
-  (try
-     if Bytesio.Reader.u16 r <> btf_ext_magic then fail ".BTF.ext: bad magic"
-   with Bytesio.Truncated _ -> fail ".BTF.ext: truncated");
-  let _version = Bytesio.Reader.u8 r in
-  let _flags = Bytesio.Reader.u8 r in
-  let hdr_len = Bytesio.Reader.u32 r in
-  let relo_off = Bytesio.Reader.u32 r in
-  let relo_len = Bytesio.Reader.u32 r in
+  let hdr_len, relo_off, relo_len =
+    try
+      if Bytesio.Reader.u16 r <> btf_ext_magic then fail "bad magic";
+      let _version = Bytesio.Reader.u8 r in
+      let _flags = Bytesio.Reader.u8 r in
+      let hdr_len = Bytesio.Reader.u32 r in
+      let relo_off = Bytesio.Reader.u32 r in
+      let relo_len = Bytesio.Reader.u32 r in
+      (hdr_len, relo_off, relo_len)
+    with Bytesio.Truncated _ -> fail "truncated"
+  in
   let strings_start = hdr_len + relo_off + relo_len in
   let str off =
     try Bytesio.Reader.cstring_at r (strings_start + off)
-    with Bytesio.Truncated _ -> fail ".BTF.ext: bad string offset"
+    with Bytesio.Truncated _ -> fail "bad string offset"
   in
   let body =
     try Bytesio.Reader.sub r ~pos:(hdr_len + relo_off) ~len:relo_len
-    with Bytesio.Truncated _ -> fail ".BTF.ext: bad core_relo bounds"
+    with Bytesio.Truncated _ -> fail "bad core_relo bounds"
   in
   try
     let record_size = Bytesio.Reader.u32 body in
-    if record_size <> 16 then fail ".BTF.ext: unsupported record size";
+    if record_size <> 16 then fail "unsupported record size";
     let out = ref [] in
     while not (Bytesio.Reader.eof body) do
       let section = str (Bytesio.Reader.u32 body) in
@@ -198,7 +201,7 @@ let decode_btf_ext data =
       out := (section, relocs) :: !out
     done;
     List.rev !out
-  with Bytesio.Truncated _ | Failure _ -> fail ".BTF.ext: truncated records"
+  with Bytesio.Truncated _ | Failure _ -> fail "truncated records"
 
 let write t =
   (* one program per section: the section name is the object's key for
@@ -249,197 +252,101 @@ let write t =
         symbols;
       }
 
-let read_strict data =
-  let elf = try Diag.ok (Elf.read data) with Elf.Bad_elf m -> raise (Bad_obj m) in
-  if elf.Elf.machine <> Elf.Bpf then raise (Bad_obj "not a BPF object");
-  let section name =
-    match Elf.find_section elf name with
-    | Some s -> s.Elf.sec_data
-    | None -> raise (Bad_obj ("missing section " ^ name))
-  in
-  let btf =
-    try Diag.ok (Btf.decode (section ".BTF")) with Ds_btf.Btf.Bad_btf m -> raise (Bad_obj m)
-  in
-  let maps =
-    match Elf.find_section elf ".maps" with
-    | Some s -> decode_maps s.Elf.sec_data
-    | None -> []
-  in
-  let kfuncs =
-    match Elf.find_section elf ".depsurf.kfuncs" with
-    | Some s -> decode_kfuncs s.Elf.sec_data
-    | None -> []
-  in
-  let relocs = decode_btf_ext (section ".BTF.ext") in
-  let o_name, o_built_for =
-    match String.split_on_char '\000' (section ".depsurf.meta") with
-    | [ a; b ] -> (a, b)
-    | _ -> raise (Bad_obj "bad meta section")
-  in
-  let progs =
-    List.filter_map
-      (fun (s : Elf.section) ->
-        if
-          s.Elf.sec_name = ".BTF" || s.Elf.sec_name = ".BTF.ext"
-          || s.Elf.sec_name = ".depsurf.meta" || s.Elf.sec_name = ".maps"
-          || s.Elf.sec_name = ".depsurf.kfuncs"
-        then None
-        else begin
-          let name =
-            match
-              List.find_opt (fun sym -> sym.Elf.sym_section = s.Elf.sec_name) elf.Elf.symbols
-            with
-            | Some sym -> sym.Elf.sym_name
-            | None -> s.Elf.sec_name
-          in
-          let insns = try Insn.decode s.Elf.sec_data with Insn.Bad_insn m -> raise (Bad_obj m) in
-          Some
-            {
-              p_name = name;
-              p_section = s.Elf.sec_name;
-              p_insns = insns;
-              p_relocs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name relocs);
-              p_kfuncs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name kfuncs);
-            }
-        end)
-      elf.Elf.sections
-  in
-  { o_name; o_built_for; o_progs = progs; o_maps = maps; o_btf = btf }
-
-type read_result = { o_obj : t; o_diags : Diag.t list }
-
 let empty_obj =
   { o_name = "unknown"; o_built_for = ""; o_progs = []; o_maps = []; o_btf = Btf.create () }
 
 let meta_section_names =
   [ ".BTF"; ".BTF.ext"; ".depsurf.meta"; ".maps"; ".depsurf.kfuncs" ]
 
-let read_lenient_impl data =
-  let collector = Diag.Collector.create () in
-  let emit ?context severity msg =
-    Diag.Collector.emit collector (Diag.v ?context severity ~component:"bpf_obj" msg)
-  in
-  let o = Elf.read ~mode:`Lenient data in
-  let elf = Diag.ok o and r_diags = Diag.diags o in
-  List.iter (Diag.Collector.emit collector) r_diags;
-  if Diag.worst r_diags = Some Diag.Fatal then
-    (* not even an ELF container: nothing downstream to salvage *)
-    { o_obj = empty_obj; o_diags = Diag.Collector.diags collector }
-  else if elf.Elf.machine <> Elf.Bpf then begin
-    emit Diag.Fatal "not a BPF object";
-    { o_obj = empty_obj; o_diags = Diag.Collector.diags collector }
-  end
-  else begin
-    let o_btf =
-      match Elf.find_section elf ".BTF" with
-      | None ->
-          emit Diag.Degraded "missing section .BTF";
-          Btf.create ()
-      | Some s ->
-          let bo = Btf.decode ~mode:`Lenient s.Elf.sec_data in
-          List.iter (fun d -> Diag.Collector.emit collector (Diag.demote d)) (Diag.diags bo);
-          Diag.ok bo
-    in
-    let o_maps =
-      match Elf.find_section elf ".maps" with
-      | None -> []
-      | Some s -> (
-          match decode_maps s.Elf.sec_data with
-          | maps -> maps
-          | exception Bad_obj m ->
-              emit ~context:".maps" Diag.Degraded m;
-              [])
-    in
-    let kfuncs =
-      match Elf.find_section elf ".depsurf.kfuncs" with
-      | None -> []
-      | Some s -> (
-          match decode_kfuncs s.Elf.sec_data with
-          | k -> k
-          | exception Bad_obj m ->
-              emit ~context:".depsurf.kfuncs" Diag.Degraded m;
-              [])
-    in
-    let relocs =
-      match Elf.find_section elf ".BTF.ext" with
-      | None ->
-          emit Diag.Degraded "missing section .BTF.ext";
-          []
-      | Some s -> (
-          match decode_btf_ext s.Elf.sec_data with
-          | r -> r
-          | exception Bad_obj m ->
-              emit ~context:".BTF.ext" Diag.Degraded m;
-              []
-          | exception Bytesio.Truncated what ->
-              emit ~context:".BTF.ext" Diag.Degraded ("truncated: " ^ what);
-              [])
-    in
-    let o_name, o_built_for =
-      match Elf.find_section elf ".depsurf.meta" with
-      | None ->
-          emit Diag.Degraded "missing section .depsurf.meta";
-          ("unknown", "")
-      | Some s -> (
-          match String.split_on_char '\000' s.Elf.sec_data with
-          | [ a; b ] -> (a, b)
-          | _ ->
-              emit Diag.Degraded "bad meta section";
-              ("unknown", ""))
-    in
-    let bad_progs = ref 0 in
-    let progs =
-      List.filter_map
-        (fun (s : Elf.section) ->
-          if List.mem s.Elf.sec_name meta_section_names then None
-          else begin
-            let name =
-              match
-                List.find_opt (fun sym -> sym.Elf.sym_section = s.Elf.sec_name) elf.Elf.symbols
-              with
-              | Some sym -> sym.Elf.sym_name
-              | None -> s.Elf.sec_name
-            in
-            match Insn.decode s.Elf.sec_data with
-            | insns ->
-                Some
-                  {
-                    p_name = name;
-                    p_section = s.Elf.sec_name;
-                    p_insns = insns;
-                    p_relocs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name relocs);
-                    p_kfuncs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name kfuncs);
-                  }
-            | exception Insn.Bad_insn _ | (exception Bytesio.Truncated _) ->
-                incr bad_progs;
-                None
-          end)
-        elf.Elf.sections
-    in
-    if !bad_progs > 0 then
-      emit Diag.Degraded (Printf.sprintf "%d program sections undecodable (skipped)" !bad_progs);
-    {
-      o_obj = { o_name; o_built_for; o_progs = progs; o_maps = o_maps; o_btf };
-      o_diags = Diag.Collector.diags collector;
-    }
-  end
-
-(* The .BTF.ext header reads and the per-prog instruction decodes used to
-   leak raw [Bytesio.Truncated]; map every escape to [Bad_obj]. *)
-let read ?(mode = `Strict) data =
+let read ?mode data =
   Ds_trace.Trace.span ~name:"obj.read"
     ~attrs:[ ("bytes", string_of_int (String.length data)) ]
     (fun () ->
-      match mode with
-      | `Strict ->
-          let obj =
-            try read_strict data
-            with Bytesio.Truncated what -> raise (Bad_obj ("truncated: " ^ what))
-          in
-          Diag.outcome obj
-      | `Lenient ->
-          let r = read_lenient_impl data in
-          Diag.outcome ~diags:r.o_diags r.o_obj)
+      let sink = Diag.Sink.create ?mode ~component:"bpf_obj" (fun m -> Bad_obj m) in
+      let report ?context msg = Diag.Sink.report sink ?context Diag.Degraded msg in
+      let eo = try Elf.read ?mode data with Elf.Bad_elf m -> raise (Bad_obj m) in
+      Diag.Sink.absorb sink (Diag.diags eo);
+      let elf = Diag.ok eo in
+      if Diag.worst (Diag.diags eo) = Some Diag.Fatal then
+        (* not even an ELF container: nothing downstream to salvage *)
+        Diag.Sink.outcome sink empty_obj
+      else if elf.Elf.machine <> Elf.Bpf then begin
+        Diag.Sink.report sink Diag.Fatal "not a BPF object";
+        Diag.Sink.outcome sink empty_obj
+      end
+      else begin
+        let section name = Option.map (fun s -> s.Elf.sec_data) (Elf.find_section elf name) in
+        (* a section the object needs, reported when absent *)
+        let required name =
+          let s = section name in
+          if s = None then report ("missing section " ^ name);
+          s
+        in
+        (* a table section: what [decode] rejects is reported, the table dropped *)
+        let table name decode = function
+          | None -> []
+          | Some b -> (
+              match decode b with
+              | v -> v
+              | exception Bad_obj m ->
+                  report ~context:name m;
+                  [])
+        in
+        let o_btf =
+          match required ".BTF" with
+          | None -> Btf.create ()
+          | Some b -> (
+              match Btf.decode ?mode b with
+              | bo ->
+                  Diag.Sink.absorb sink (List.map Diag.demote (Diag.diags bo));
+                  Diag.ok bo
+              | exception Btf.Bad_btf m -> raise (Bad_obj m))
+        in
+        let o_maps = table ".maps" decode_maps (section ".maps") in
+        let kfuncs = table ".depsurf.kfuncs" decode_kfuncs (section ".depsurf.kfuncs") in
+        let relocs = table ".BTF.ext" decode_btf_ext (required ".BTF.ext") in
+        let o_name, o_built_for =
+          match Option.map (String.split_on_char '\000') (required ".depsurf.meta") with
+          | Some [ a; b ] -> (a, b)
+          | None -> ("unknown", "")
+          | Some _ ->
+              report "bad meta section";
+              ("unknown", "")
+        in
+        let bad_progs = Diag.Sink.tally sink in
+        let o_progs =
+          List.filter_map
+            (fun (s : Elf.section) ->
+              if List.mem s.Elf.sec_name meta_section_names then None
+              else
+                let name =
+                  match
+                    List.find_opt (fun sym -> sym.Elf.sym_section = s.Elf.sec_name) elf.Elf.symbols
+                  with
+                  | Some sym -> sym.Elf.sym_name
+                  | None -> s.Elf.sec_name
+                in
+                match Insn.decode s.Elf.sec_data with
+                | insns ->
+                    Some
+                      {
+                        p_name = name;
+                        p_section = s.Elf.sec_name;
+                        p_insns = insns;
+                        p_relocs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name relocs);
+                        p_kfuncs = Option.value ~default:[] (List.assoc_opt s.Elf.sec_name kfuncs);
+                      }
+                | exception Insn.Bad_insn m ->
+                    Diag.Sink.skip bad_progs m;
+                    None
+                | exception Bytesio.Truncated what ->
+                    Diag.Sink.skip bad_progs ("truncated: " ^ what);
+                    None)
+            elf.Elf.sections
+        in
+        Diag.Sink.close bad_progs (Printf.sprintf "%d program sections undecodable (skipped)");
+        Diag.Sink.outcome sink { o_name; o_built_for; o_progs; o_maps; o_btf }
+      end)
 
 (* Resolve an access chain against the object's own BTF, skipping
    modifiers and following pointers, as libbpf does. The first access

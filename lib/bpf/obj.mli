@@ -49,12 +49,12 @@ val write : t -> string
     relocation and kfunc tables). *)
 
 val read : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
-(** Unified entrypoint. [`Strict] (the default) raises [Bad_obj] on any
-    malformed byte (raw [Bytesio.Truncated] escapes are wrapped) and
-    returns empty [diags]. [`Lenient] never raises: undecodable pieces
-    (BTF, maps, relocations, individual program sections) are dropped
-    and recorded as diagnostics; a non-ELF or non-BPF input yields an
-    empty object with a [Fatal] diagnostic. *)
+(** Parse an object. Undecodable pieces (the ELF container, BTF, maps,
+    relocations, individual program sections) are reported to the
+    mode's {!Ds_util.Diag.Sink}: [`Strict] (the default) raises
+    [Bad_obj] at the first one; [`Lenient] drops the piece and describes
+    the loss in [diags]; a non-ELF or non-BPF input yields an empty
+    object with a [Fatal] diagnostic. *)
 
 val access_path : t -> int -> int list -> (string * string list) option
 (** [access_path obj type_id access] resolves a CO-RE access chain against

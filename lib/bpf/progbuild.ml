@@ -155,7 +155,9 @@ let build ~build_btf ~build_arch ~tag spec =
           spec.sp_hooks;
     }
   in
-  let build_env, _ = Btf.to_env ~ptr_size:(Config.ptr_size build_arch) build_btf in
+  let build_env, _ =
+    Ds_util.Diag.ok (Btf.to_env ~ptr_size:(Config.ptr_size build_arch) build_btf)
+  in
   let env = local_env build_env build_arch spec.sp_hooks in
   let btf = Btf.of_env env [] in
   let type_id name =

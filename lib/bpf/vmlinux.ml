@@ -1,5 +1,7 @@
 open Ds_elf
 open Ds_ksrc
+module Bytesio = Ds_util.Bytesio
+module Diag = Ds_util.Diag
 
 type tracepoint = {
   vtp_event : string;
@@ -85,196 +87,133 @@ let strip_syscall_prefix arch sym =
   | Some n -> n
   | None -> sym
 
-type load_result = { k_kernel : t; k_diags : Ds_util.Diag.t list }
-
 (* A corrupt symbol size or marker pair can imply a table of billions of
-   slots; lenient mode refuses to walk more than this many. *)
+   slots; no table is walked past this many. *)
 let max_table_slots = 1 lsl 20
 
-(* Shared strict/lenient loader. Strict raises [Bad_vmlinux] on the
-   first problem — including raw [Bad_elf]/[Truncated] escapes from the
-   data-section derefs, which used to leak untyped (satellite bugfix).
-   Lenient substitutes fallbacks and records what was lost. *)
-let load_impl ~strict img =
-  let module Diag = Ds_util.Diag in
-  let collector = Diag.Collector.create () in
-  let diag ?context severity msg =
-    if strict then raise (Bad_vmlinux msg)
-    else Diag.Collector.emit collector (Diag.v ?context severity ~component:"vmlinux" msg)
-  in
-  let deref = Elf.Deref.make img in
-  let v_version, v_flavor, v_gcc =
-    match
-      let banner_sym = required_symbol img "linux_banner" in
-      parse_banner (Elf.Deref.read_cstring deref banner_sym.Elf.sym_value)
-    with
-    | parsed -> parsed
-    | exception Bad_vmlinux m ->
-        diag Diag.Degraded m;
-        (Version.v 0 0, Config.Generic, (0, 0))
-    | exception Elf.Bad_elf m ->
-        if strict then raise (Bad_vmlinux ("linux_banner: " ^ m));
-        diag ~context:"linux_banner" Diag.Degraded m;
-        (Version.v 0 0, Config.Generic, (0, 0))
-    | exception Ds_util.Bytesio.Truncated what ->
-        if strict then raise (Bad_vmlinux ("linux_banner: truncated: " ^ what));
-        diag ~context:"linux_banner" Diag.Degraded ("truncated: " ^ what);
-        (Version.v 0 0, Config.Generic, (0, 0))
-  in
-  let v_arch =
-    match arch_of_machine img.Elf.machine with
-    | a -> a
-    | exception Bad_vmlinux m ->
-        (* nothing kernel-shaped can come out of a BPF object *)
-        diag Diag.Fatal m;
-        Config.X86
-  in
-  let v_btf =
-    match Elf.find_section img ".BTF" with
-    | None ->
-        diag Diag.Degraded "missing .BTF section";
-        Ds_btf.Btf.create ()
-    | Some s ->
-        if strict then (
-          try Diag.ok (Ds_btf.Btf.decode s.Elf.sec_data)
-          with Ds_btf.Btf.Bad_btf m -> raise (Bad_vmlinux (".BTF: " ^ m)))
-        else begin
-          let bo = Ds_btf.Btf.decode ~mode:`Lenient s.Elf.sec_data in
-          (* a dead .BTF is fatal for the BTF component but only degrades
-             the image: structs fall back to DWARF *)
-          List.iter (fun d -> Diag.Collector.emit collector (Diag.demote d)) (Diag.diags bo);
-          Diag.ok bo
-        end
-  in
-  let ptr = Elf.Deref.ptr_size deref in
-  (* ftrace events: pointer array between the two markers; each slot
-     points at a trace_event_call-like record of four pointers. *)
-  let v_tracepoints =
-    match
-      ( (required_symbol img "__start_ftrace_events").Elf.sym_value,
-        (required_symbol img "__stop_ftrace_events").Elf.sym_value )
-    with
-    | exception Bad_vmlinux m ->
-        diag Diag.Degraded m;
+(* Every problem goes to the sink, including the [Bad_elf]/[Truncated]
+   escapes of the data-section derefs; lenient substitutes a fallback
+   for whatever was lost. *)
+let load ?mode img =
+  Ds_trace.Trace.span ~name:"vmlinux.load" (fun () ->
+    let sink = Diag.Sink.create ?mode ~component:"vmlinux" (fun m -> Bad_vmlinux m) in
+    let report ?context msg = Diag.Sink.report sink ?context Diag.Degraded msg in
+    let deref = Elf.Deref.make img in
+    let v_version, v_flavor, v_gcc =
+      match
+        let banner_sym = required_symbol img "linux_banner" in
+        parse_banner (Elf.Deref.read_cstring deref banner_sym.Elf.sym_value)
+      with
+      | parsed -> parsed
+      | exception Bad_vmlinux m ->
+          report m;
+          (Version.v 0 0, Config.Generic, (0, 0))
+      | exception Elf.Bad_elf m ->
+          report ~context:"linux_banner" m;
+          (Version.v 0 0, Config.Generic, (0, 0))
+      | exception Bytesio.Truncated what ->
+          report ~context:"linux_banner" ("truncated: " ^ what);
+          (Version.v 0 0, Config.Generic, (0, 0))
+    in
+    let v_arch =
+      match arch_of_machine img.Elf.machine with
+      | a -> a
+      | exception Bad_vmlinux m ->
+          (* nothing kernel-shaped can come out of a BPF object *)
+          Diag.Sink.report sink Diag.Fatal m;
+          Config.X86
+    in
+    let v_btf =
+      match Elf.find_section img ".BTF" with
+      | None ->
+          report "missing .BTF section";
+          Ds_btf.Btf.create ()
+      | Some s -> (
+          match Ds_btf.Btf.decode ?mode s.Elf.sec_data with
+          | bo ->
+              (* a dead .BTF is fatal for the BTF component but only
+                 degrades the image: structs fall back to DWARF *)
+              Diag.Sink.absorb sink (List.map Diag.demote (Diag.diags bo));
+              Diag.ok bo
+          | exception Ds_btf.Btf.Bad_btf m -> raise (Bad_vmlinux (".BTF: " ^ m)))
+    in
+    let ptr = Elf.Deref.ptr_size deref in
+    (* A pointer table of [n] slots: each unreadable slot is skipped and
+       counted, an implausible size is refused or capped. *)
+    let table ~context ~what n slot =
+      if n < 0 then begin
+        report ~context "implausible table bounds";
         []
-    | start, stop ->
-        let n_events = Int64.to_int (Int64.sub stop start) / ptr in
-        if n_events < 0 then begin
-          diag ~context:"ftrace_events" Diag.Degraded "implausible ftrace_events table bounds";
+      end
+      else begin
+        let n =
+          if n > max_table_slots then begin
+            report ~context
+              (Printf.sprintf "implausibly large table (%d slots); truncated" n);
+            max_table_slots
+          end
+          else n
+        in
+        let bad = Diag.Sink.tally ~context sink in
+        let entries =
+          List.filter_map
+            (fun i ->
+              match slot i with
+              | e -> Some e
+              | exception (Bad_vmlinux m | Elf.Bad_elf m) ->
+                  Diag.Sink.skip bad m;
+                  None
+              | exception Bytesio.Truncated w ->
+                  Diag.Sink.skip bad ("truncated: " ^ w);
+                  None)
+            (List.init n Fun.id)
+        in
+        Diag.Sink.close bad (fun k -> Printf.sprintf "%d of %d %s (skipped)" k n what);
+        entries
+      end
+    in
+    (* ftrace events: pointer array between the two markers; each slot
+       points at a trace_event_call-like record of four pointers. *)
+    let v_tracepoints =
+      match
+        ( (required_symbol img "__start_ftrace_events").Elf.sym_value,
+          (required_symbol img "__stop_ftrace_events").Elf.sym_value )
+      with
+      | exception Bad_vmlinux m ->
+          report m;
           []
-        end
-        else begin
-          let n_events =
-            if (not strict) && n_events > max_table_slots then begin
-              diag ~context:"ftrace_events" Diag.Degraded
-                (Printf.sprintf "implausibly large ftrace_events table (%d slots); truncated"
-                   n_events);
-              max_table_slots
-            end
-            else n_events
-          in
-          let bad = ref 0 in
-          let tps =
-            List.filter_map
-              (fun i ->
-                match
-                  let slot = Int64.add start (Int64.of_int (i * ptr)) in
-                  let record = Elf.Deref.read_ptr deref slot in
-                  let field k =
-                    Elf.Deref.read_ptr deref (Int64.add record (Int64.of_int (k * ptr)))
-                  in
-                  let vtp_event = Elf.Deref.read_cstring deref (field 0) in
-                  let vtp_class = Elf.Deref.read_cstring deref (field 1) in
-                  let func_addr = field 2 in
-                  let vtp_func =
-                    match Elf.symbols_at img func_addr with
-                    | s :: _ -> Some s.Elf.sym_name
-                    | [] -> None
-                  in
-                  let vtp_fmt = Elf.Deref.read_cstring deref (field 3) in
-                  { vtp_event; vtp_class; vtp_func; vtp_fmt }
-                with
-                | tp -> Some tp
-                | exception Elf.Bad_elf m ->
-                    if strict then raise (Bad_vmlinux ("ftrace_events: " ^ m));
-                    incr bad;
-                    None
-                | exception Ds_util.Bytesio.Truncated what ->
-                    if strict then raise (Bad_vmlinux ("ftrace_events: truncated: " ^ what));
-                    incr bad;
-                    None)
-              (List.init n_events Fun.id)
-          in
-          if !bad > 0 then
-            diag ~context:"ftrace_events" Diag.Degraded
-              (Printf.sprintf "%d of %d tracepoint slots unreadable (skipped)" !bad n_events);
-          tps
-        end
-  in
-  (* syscall table *)
-  let v_syscalls =
-    match required_symbol img "sys_call_table" with
-    | exception Bad_vmlinux m ->
-        diag Diag.Degraded m;
-        []
-    | table ->
-        let n_sys = table.Elf.sym_size / ptr in
-        if n_sys < 0 then begin
-          diag ~context:"sys_call_table" Diag.Degraded "implausible sys_call_table size";
+      | start, stop ->
+          table ~context:"ftrace_events" ~what:"tracepoint slots unreadable"
+            (Int64.to_int (Int64.sub stop start) / ptr)
+            (fun i ->
+              let slot = Int64.add start (Int64.of_int (i * ptr)) in
+              let record = Elf.Deref.read_ptr deref slot in
+              let field k = Elf.Deref.read_ptr deref (Int64.add record (Int64.of_int (k * ptr))) in
+              let vtp_event = Elf.Deref.read_cstring deref (field 0) in
+              let vtp_class = Elf.Deref.read_cstring deref (field 1) in
+              let func_addr = field 2 in
+              let vtp_func =
+                match Elf.symbols_at img func_addr with s :: _ -> Some s.Elf.sym_name | [] -> None
+              in
+              let vtp_fmt = Elf.Deref.read_cstring deref (field 3) in
+              { vtp_event; vtp_class; vtp_func; vtp_fmt })
+    in
+    let v_syscalls =
+      match required_symbol img "sys_call_table" with
+      | exception Bad_vmlinux m ->
+          report m;
           []
-        end
-        else begin
-          let n_sys =
-            if (not strict) && n_sys > max_table_slots then begin
-              diag ~context:"sys_call_table" Diag.Degraded
-                (Printf.sprintf "implausibly large sys_call_table (%d slots); truncated" n_sys);
-              max_table_slots
-            end
-            else n_sys
-          in
-          let bad = ref 0 in
-          let scs =
-            List.filter_map
-              (fun i ->
-                let slot = Int64.add table.Elf.sym_value (Int64.of_int (i * ptr)) in
-                match
-                  let addr = Elf.Deref.read_ptr deref slot in
-                  match Elf.symbols_at img addr with
-                  | s :: _ -> strip_syscall_prefix v_arch s.Elf.sym_name
-                  | [] ->
-                      raise (Bad_vmlinux (Printf.sprintf "sys_call_table slot %d unresolvable" i))
-                with
-                | name -> Some name
-                | exception Bad_vmlinux m ->
-                    if strict then raise (Bad_vmlinux m);
-                    incr bad;
-                    None
-                | exception Elf.Bad_elf m ->
-                    if strict then raise (Bad_vmlinux ("sys_call_table: " ^ m));
-                    incr bad;
-                    None
-                | exception Ds_util.Bytesio.Truncated what ->
-                    if strict then raise (Bad_vmlinux ("sys_call_table: truncated: " ^ what));
-                    incr bad;
-                    None)
-              (List.init n_sys Fun.id)
-          in
-          if !bad > 0 then
-            diag ~context:"sys_call_table" Diag.Degraded
-              (Printf.sprintf "%d of %d syscall slots unresolvable (skipped)" !bad n_sys);
-          scs
-        end
-  in
-  {
-    k_kernel = { v_img = img; v_version; v_flavor; v_gcc; v_arch; v_btf; v_tracepoints; v_syscalls };
-    k_diags = Diag.Collector.diags collector;
-  }
-
-let load img =
-  Ds_trace.Trace.span ~name:"vmlinux.load" (fun () -> (load_impl ~strict:true img).k_kernel)
-
-let load_lenient img =
-  Ds_trace.Trace.span ~name:"vmlinux.load" (fun () -> load_impl ~strict:false img)
+      | tbl ->
+          table ~context:"sys_call_table" ~what:"syscall slots unresolvable"
+            (tbl.Elf.sym_size / ptr)
+            (fun i ->
+              let slot = Int64.add tbl.Elf.sym_value (Int64.of_int (i * ptr)) in
+              match Elf.symbols_at img (Elf.Deref.read_ptr deref slot) with
+              | s :: _ -> strip_syscall_prefix v_arch s.Elf.sym_name
+              | [] -> raise (Bad_vmlinux (Printf.sprintf "slot %d unresolvable" i)))
+    in
+    Diag.Sink.outcome sink
+      { v_img = img; v_version; v_flavor; v_gcc; v_arch; v_btf; v_tracepoints; v_syscalls })
 
 let symbols_named t name =
   List.filter (fun s -> s.Elf.sym_name = name) t.v_img.Elf.symbols

@@ -34,17 +34,14 @@ exception Bad_vmlinux of string
 val parse_banner : string -> Version.t * Config.flavor * (int * int)
 (** Parse ["Linux version 5.4.0-generic ... (gcc version 9.2.0 ..."]. *)
 
-val load : Ds_elf.Elf.t -> t
-(** Strict load: raises [Bad_vmlinux] on the first problem, including
-    bad derefs that previously leaked as raw [Elf.Bad_elf] or
-    [Bytesio.Truncated]. *)
-
-type load_result = { k_kernel : t; k_diags : Ds_util.Diag.t list }
-
-val load_lenient : Ds_elf.Elf.t -> load_result
-(** Best-effort load: never raises. Whatever cannot be recovered —
-    banner, BTF, tracepoint slots, syscall slots — is replaced by an
-    empty fallback and recorded as a diagnostic. *)
+val load : ?mode:Ds_util.Diag.mode -> Ds_elf.Elf.t -> t Ds_util.Diag.outcome
+(** Read the kernel view out of an image. Whatever cannot be recovered —
+    banner, BTF, tracepoint slots, syscall slots, including bad derefs
+    into the data sections — is reported to the mode's
+    {!Ds_util.Diag.Sink}: [`Strict] (the default) raises [Bad_vmlinux]
+    at the first problem; [`Lenient] substitutes an empty fallback and
+    describes the loss in [diags]. Neither mode walks a table of more
+    than 2{^20} slots. *)
 
 val symbols_named : t -> string -> Ds_elf.Elf.symbol list
 (** All symbols with exactly that name (text symbols first). *)

@@ -163,139 +163,121 @@ let encode t =
   Bytesio.Writer.bytes out strings;
   Bytesio.Writer.contents out
 
-type decode_result = { b_btf : t; b_diags : Diag.t list }
-
-(* Shared strict/lenient decoder. Strict raises [Bad_btf] on the first
-   problem (historical messages preserved); lenient keeps every record
-   decoded before the failure point and describes the loss. [Stop]
-   aborts lenient parsing after a diagnostic has been recorded. *)
+(* [Stop] ends a lenient decode after a diagnostic; every record decoded
+   before it is kept. *)
 exception Stop
 
-let decode_impl ~strict data =
-  let collector = Diag.Collector.create () in
-  let diag ?context ?offset severity msg =
-    if strict then raise (Bad_btf msg)
-    else Diag.Collector.emit collector (Diag.v ?context ?offset severity ~component:"btf" msg)
-  in
-  let fatal ?offset msg =
-    diag ?offset Diag.Fatal msg;
-    raise Stop
-  in
-  let t = create () in
-  (try
-     let r = Bytesio.Reader.of_string data in
-     let m = try Bytesio.Reader.u16 r with Bytesio.Truncated _ -> fatal ~offset:0 "truncated header" in
-     if m <> magic then fatal ~offset:0 "bad magic";
-     let hlen, type_off, type_len, str_off, str_len =
-       try
-         let _version = Bytesio.Reader.u8 r in
-         let _flags = Bytesio.Reader.u8 r in
-         let hlen = Bytesio.Reader.u32 r in
-         let type_off = Bytesio.Reader.u32 r in
-         let type_len = Bytesio.Reader.u32 r in
-         let str_off = Bytesio.Reader.u32 r in
-         let str_len = Bytesio.Reader.u32 r in
-         (hlen, type_off, type_len, str_off, str_len)
-       with Bytesio.Truncated _ -> fatal ~offset:2 "truncated header"
-     in
-     let types =
-       try Bytesio.Reader.sub r ~pos:(hlen + type_off) ~len:type_len
-       with Bytesio.Truncated _ | Invalid_argument _ -> fatal ~offset:hdr_len "bad type section bounds"
-     in
-     let strings =
-       try Bytesio.Reader.sub r ~pos:(hlen + str_off) ~len:str_len
-       with Bytesio.Truncated _ | Invalid_argument _ -> fatal ~offset:hdr_len "bad string section bounds"
-     in
-     let record_start = ref 0 in
-     let fail msg =
-       if strict then raise (Bad_btf msg)
-       else begin
-         (* keep the records decoded so far, drop the tail *)
-         diag ~offset:!record_start Diag.Degraded
-           (Printf.sprintf "%s; kept %d type records" msg t.len);
-         raise Stop
-       end
-     in
-     let str off =
-       try Bytesio.Reader.cstring_at strings off
-       with Bytesio.Truncated _ -> fail "bad string offset"
-     in
-     while not (Bytesio.Reader.eof types) do
-       record_start := Bytesio.Reader.pos types;
-       let name_off = Bytesio.Reader.u32 types in
-       let info = Bytesio.Reader.u32 types in
-       let size_or_type = Bytesio.Reader.u32 types in
-       let kind = (info lsr 24) land 0x1F in
-       let vlen = info land 0xFFFF in
-       let kind_flag = info land 0x80000000 <> 0 in
-       let name = str name_off in
-       let record =
-         match kind with
-         | 1 ->
-             let enc = Bytesio.Reader.u32 types in
-             Int { name; bits = enc land 0xFF; signed = (enc lsr 24) land 1 = 1 }
-         | 2 -> Ptr size_or_type
-         | 3 ->
-             let elem = Bytesio.Reader.u32 types in
-             let index = Bytesio.Reader.u32 types in
-             let nelems = Bytesio.Reader.u32 types in
-             Array { elem; index; nelems }
-         | 4 | 5 ->
-             let members =
-               List.init vlen (fun _ ->
-                   let m_name = str (Bytesio.Reader.u32 types) in
-                   let m_type = Bytesio.Reader.u32 types in
-                   let m_offset_bits = Bytesio.Reader.u32 types in
-                   { m_name; m_type; m_offset_bits })
-             in
-             if kind = 4 then Struct { name; size = size_or_type; members }
-             else Union { name; size = size_or_type; members }
-         | 6 ->
-             let values =
-               List.init vlen (fun _ ->
-                   let n = str (Bytesio.Reader.u32 types) in
-                   let v = Bytesio.Reader.u32 types in
-                   (n, v))
-             in
-             Enum { name; size = size_or_type; values }
-         | 7 -> Fwd { name; union = kind_flag }
-         | 8 -> Typedef { name; typ = size_or_type }
-         | 9 -> Volatile size_or_type
-         | 10 -> Const size_or_type
-         | 11 -> Restrict size_or_type
-         | 12 -> Func { name; proto = size_or_type }
-         | 13 ->
-             let params =
-               List.init vlen (fun _ ->
-                   let p_name = str (Bytesio.Reader.u32 types) in
-                   let p_type = Bytesio.Reader.u32 types in
-                   { p_name; p_type })
-             in
-             Func_proto { ret = size_or_type; params }
-         | 16 -> Float { name; bits = size_or_type * 8 }
-         | k -> fail (Printf.sprintf "unsupported kind %d" k)
-       in
-       ignore (add t record)
-     done
-   with
-  | Bytesio.Truncated _ ->
-      if strict then raise (Bad_btf "truncated type section")
-      else
-        Diag.Collector.emit collector
-          (Diag.v ~offset:(String.length data) Diag.Degraded ~component:"btf"
-             (Printf.sprintf "truncated type section; kept %d type records" t.len))
-  | Stop -> ());
-  { b_btf = t; b_diags = Diag.Collector.diags collector }
-
-let decode ?(mode = `Strict) data =
+let decode ?mode data =
   Ds_trace.Trace.span ~name:"btf.decode"
     ~attrs:[ ("bytes", string_of_int (String.length data)) ]
     (fun () ->
-      match mode with
-      | `Strict -> Diag.outcome (decode_impl ~strict:true data).b_btf
-      | `Lenient ->
-          let r = decode_impl ~strict:false data in
-          Diag.outcome ~diags:r.b_diags r.b_btf)
+      let sink = Diag.Sink.create ?mode ~component:"btf" (fun m -> Bad_btf m) in
+      let fatal ~offset msg =
+        Diag.Sink.report sink ~offset Diag.Fatal msg;
+        raise Stop
+      in
+      let t = create () in
+      let record_start = ref 0 in
+      (* a bad record keeps the records before it and drops the tail *)
+      let fail msg =
+        Diag.Sink.report sink
+          ~context:(Printf.sprintf "type record %d" (t.len + 1))
+          ~offset:!record_start Diag.Degraded msg;
+        raise Stop
+      in
+      (try
+         let r = Bytesio.Reader.of_string data in
+         let m =
+           try Bytesio.Reader.u16 r with Bytesio.Truncated _ -> fatal ~offset:0 "truncated header"
+         in
+         if m <> magic then fatal ~offset:0 "bad magic";
+         let hlen, type_off, type_len, str_off, str_len =
+           try
+             let _version = Bytesio.Reader.u8 r in
+             let _flags = Bytesio.Reader.u8 r in
+             let hlen = Bytesio.Reader.u32 r in
+             let type_off = Bytesio.Reader.u32 r in
+             let type_len = Bytesio.Reader.u32 r in
+             let str_off = Bytesio.Reader.u32 r in
+             let str_len = Bytesio.Reader.u32 r in
+             (hlen, type_off, type_len, str_off, str_len)
+           with Bytesio.Truncated _ -> fatal ~offset:2 "truncated header"
+         in
+         let types =
+           try Bytesio.Reader.sub r ~pos:(hlen + type_off) ~len:type_len
+           with Bytesio.Truncated _ | Invalid_argument _ ->
+             fatal ~offset:hdr_len "bad type section bounds"
+         in
+         let strings =
+           try Bytesio.Reader.sub r ~pos:(hlen + str_off) ~len:str_len
+           with Bytesio.Truncated _ | Invalid_argument _ ->
+             fatal ~offset:hdr_len "bad string section bounds"
+         in
+         let str off =
+           try Bytesio.Reader.cstring_at strings off
+           with Bytesio.Truncated _ -> fail "bad string offset"
+         in
+         try
+           while not (Bytesio.Reader.eof types) do
+             record_start := Bytesio.Reader.pos types;
+             let name_off = Bytesio.Reader.u32 types in
+             let info = Bytesio.Reader.u32 types in
+             let size_or_type = Bytesio.Reader.u32 types in
+             let kind = (info lsr 24) land 0x1F in
+             let vlen = info land 0xFFFF in
+             let kind_flag = info land 0x80000000 <> 0 in
+             let name = str name_off in
+             let record =
+               match kind with
+               | 1 ->
+                   let enc = Bytesio.Reader.u32 types in
+                   Int { name; bits = enc land 0xFF; signed = (enc lsr 24) land 1 = 1 }
+               | 2 -> Ptr size_or_type
+               | 3 ->
+                   let elem = Bytesio.Reader.u32 types in
+                   let index = Bytesio.Reader.u32 types in
+                   let nelems = Bytesio.Reader.u32 types in
+                   Array { elem; index; nelems }
+               | 4 | 5 ->
+                   let members =
+                     List.init vlen (fun _ ->
+                         let m_name = str (Bytesio.Reader.u32 types) in
+                         let m_type = Bytesio.Reader.u32 types in
+                         let m_offset_bits = Bytesio.Reader.u32 types in
+                         { m_name; m_type; m_offset_bits })
+                   in
+                   if kind = 4 then Struct { name; size = size_or_type; members }
+                   else Union { name; size = size_or_type; members }
+               | 6 ->
+                   let values =
+                     List.init vlen (fun _ ->
+                         let n = str (Bytesio.Reader.u32 types) in
+                         let v = Bytesio.Reader.u32 types in
+                         (n, v))
+                   in
+                   Enum { name; size = size_or_type; values }
+               | 7 -> Fwd { name; union = kind_flag }
+               | 8 -> Typedef { name; typ = size_or_type }
+               | 9 -> Volatile size_or_type
+               | 10 -> Const size_or_type
+               | 11 -> Restrict size_or_type
+               | 12 -> Func { name; proto = size_or_type }
+               | 13 ->
+                   let params =
+                     List.init vlen (fun _ ->
+                         let p_name = str (Bytesio.Reader.u32 types) in
+                         let p_type = Bytesio.Reader.u32 types in
+                         { p_name; p_type })
+                   in
+                   Func_proto { ret = size_or_type; params }
+               | 16 -> Float { name; bits = size_or_type * 8 }
+               | k -> fail (Printf.sprintf "unsupported kind %d" k)
+             in
+             ignore (add t record)
+           done
+         with Bytesio.Truncated _ -> fail "truncated type section"
+       with Stop -> ());
+      Diag.Sink.outcome sink t)
 
 (* ------------------------------------------------------------------ *)
 (* Bridge to the C type model                                          *)
@@ -454,8 +436,19 @@ and proto_of_d t d ~ret ~params : Ctype.proto =
 let ctype_of t id = ctype_of_d t 0 id
 let proto_of t ~ret ~params = proto_of_d t 0 ~ret ~params
 
-let to_env ~ptr_size t =
-  let ctype_of id = ctype_of t id in
+(* A record whose type references are broken (dangling ids, cycles, a
+   Func without a proto — all possible in a partially decoded table)
+   degrades to [void] or is skipped. *)
+let to_env ?mode ~ptr_size t =
+  let sink = Diag.Sink.create ?mode ~component:"btf" (fun m -> Bad_btf m) in
+  let bad_refs = Diag.Sink.tally sink and bad_funcs = Diag.Sink.tally sink in
+  let ctype_of id =
+    match ctype_of t id with
+    | c -> c
+    | exception Bad_btf m ->
+        Diag.Sink.skip bad_refs m;
+        Ctype.Void
+  in
   let env = ref (Decl.empty_env ~ptr_size) in
   let funcs = ref [] in
   iteri t (fun _ k ->
@@ -474,69 +467,18 @@ let to_env ~ptr_size t =
           env := Decl.add_typedef !env { tname = name; aliased = ctype_of typ }
       | Func { name; proto } -> (
           match get t proto with
-          | Func_proto { ret; params } ->
-              funcs := Decl.{ fname = name; proto = proto_of t ~ret ~params } :: !funcs
-          | _ -> raise (Bad_btf ("func without proto: " ^ name)))
-      | Void | Int _ | Ptr _ | Array _ | Fwd _ | Volatile _ | Const _ | Restrict _
-      | Func_proto _ | Float _ ->
-          ());
-  (!env, List.rev !funcs)
-
-(* Like [to_env], but a record whose type references are broken (dangling
-   ids, cycles, a Func without a proto — all possible in a partially
-   decoded table) degrades to [void] or is skipped, instead of raising. *)
-let to_env_lenient ~ptr_size t =
-  let bad_refs = ref 0 and bad_funcs = ref 0 in
-  let safe_ctype id =
-    match ctype_of t id with
-    | c -> c
-    | exception Bad_btf _ ->
-        incr bad_refs;
-        Ctype.Void
-  in
-  let env = ref (Decl.empty_env ~ptr_size) in
-  let funcs = ref [] in
-  iteri t (fun _ k ->
-      match k with
-      | Struct { name; size; members } | Union { name; size; members } ->
-          let skind = match k with Union _ -> `Union | _ -> `Struct in
-          let fields =
-            List.map
-              (fun m ->
-                Decl.
-                  { fname = m.m_name; ftype = safe_ctype m.m_type; bits_offset = m.m_offset_bits })
-              members
-          in
-          env := Decl.add_struct !env { sname = name; skind; byte_size = size; fields }
-      | Enum { name; values; _ } -> env := Decl.add_enum !env { ename = name; values }
-      | Typedef { name; typ } ->
-          env := Decl.add_typedef !env { tname = name; aliased = safe_ctype typ }
-      | Func { name; proto } -> (
-          match get t proto with
           | Func_proto { ret; params } -> (
               match proto_of t ~ret ~params with
               | p -> funcs := Decl.{ fname = name; proto = p } :: !funcs
-              | exception Bad_btf _ -> incr bad_funcs)
-          | _ | (exception Bad_btf _) -> incr bad_funcs)
+              | exception Bad_btf m -> Diag.Sink.skip bad_funcs m)
+          | _ -> Diag.Sink.skip bad_funcs ("func without proto: " ^ name)
+          | exception Bad_btf m -> Diag.Sink.skip bad_funcs m)
       | Void | Int _ | Ptr _ | Array _ | Fwd _ | Volatile _ | Const _ | Restrict _
       | Func_proto _ | Float _ ->
           ());
-  let diags =
-    (if !bad_refs > 0 then
-       [
-         Diag.v Diag.Degraded ~component:"btf"
-           (Printf.sprintf "%d dangling type references degraded to void" !bad_refs);
-       ]
-     else [])
-    @
-    if !bad_funcs > 0 then
-      [
-        Diag.v Diag.Degraded ~component:"btf"
-          (Printf.sprintf "%d funcs without a usable prototype skipped" !bad_funcs);
-      ]
-    else []
-  in
-  (!env, List.rev !funcs, diags)
+  Diag.Sink.close bad_refs (Printf.sprintf "%d dangling type references degraded to void");
+  Diag.Sink.close bad_funcs (Printf.sprintf "%d funcs without a usable prototype skipped");
+  Diag.Sink.outcome sink (!env, List.rev !funcs)
 
 let find_struct t name =
   let found = ref None in

@@ -49,11 +49,11 @@ val iteri : t -> (int -> kind -> unit) -> unit
 val encode : t -> string
 
 val decode : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
-(** Unified entrypoint. [`Strict] (the default) raises [Bad_btf] on the
-    first malformed byte and returns empty [diags]. [`Lenient] never
-    raises: every record decoded before the first failure point is kept
-    and the loss (truncated records, bad string offsets, unsupported
-    kinds, bogus section bounds) is described in [diags]. *)
+(** Decode BTF bytes. Truncated records, bad string offsets, unsupported
+    kinds and bogus section bounds are reported to the mode's
+    {!Ds_util.Diag.Sink}: [`Strict] (the default) raises [Bad_btf] at the
+    first one, [`Lenient] keeps every record decoded before it and
+    describes the loss in [diags]. *)
 
 (** {2 Bridge to the canonical C type model} *)
 
@@ -62,16 +62,16 @@ val of_env : Ds_ctypes.Decl.type_env -> Ds_ctypes.Decl.func_decl list -> t
     structs that have no definition in the environment become [Fwd]
     records, as real kernels do for opaque types. *)
 
-val to_env : ptr_size:int -> t -> Ds_ctypes.Decl.type_env * Ds_ctypes.Decl.func_decl list
-(** Raise a BTF table back into declarations. *)
-
-val to_env_lenient :
+val to_env :
+  ?mode:Ds_util.Diag.mode ->
   ptr_size:int ->
   t ->
-  Ds_ctypes.Decl.type_env * Ds_ctypes.Decl.func_decl list * Ds_util.Diag.t list
-(** Like {!to_env}, but broken type references (dangling ids, cycles,
-    funcs without a prototype — all possible in a partially decoded
-    table) degrade to [void] or are skipped instead of raising. *)
+  (Ds_ctypes.Decl.type_env * Ds_ctypes.Decl.func_decl list) Ds_util.Diag.outcome
+(** Raise a BTF table back into declarations. A broken type reference
+    (dangling id, cycle, func without a prototype — all possible in a
+    partially decoded table) raises [Bad_btf] in [`Strict] mode (the
+    default); in [`Lenient] mode it degrades to [void] or the func is
+    skipped, and [diags] counts the losses. *)
 
 val find_struct : t -> string -> (int * kind) option
 (** Find a [Struct] or [Union] record by name. *)

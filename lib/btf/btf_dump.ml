@@ -40,7 +40,7 @@ let struct_to_c (s : Decl.struct_def) =
   Buffer.contents buf
 
 let vmlinux_h btf =
-  let env, funcs = Btf.to_env ~ptr_size:8 btf in
+  let env, funcs = Ds_util.Diag.ok (Btf.to_env ~ptr_size:8 btf) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "#ifndef __VMLINUX_H__\n#define __VMLINUX_H__\n\n";
   Buffer.add_string buf "/* generated from BTF; do not edit */\n\n";

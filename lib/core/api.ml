@@ -27,8 +27,6 @@ let error_envelope ~status ?(diagnostics = []) msg =
     ~diagnostics:(List.map (fun s -> Json.String s) (msg :: diagnostics))
     (Json.Obj [ ("error", Json.String msg); ("status", Json.Int status) ])
 
-let error ~status msg = error_envelope ~status msg
-
 let data j = match Json.member "data" j with Some d -> d | None -> j
 
 (* --------------------------- mutation envelope ----------------------- *)

@@ -34,11 +34,6 @@ val error_envelope : status:int -> ?diagnostics:string list -> string -> Ds_util
     [data.status]. Serve routes 400/404/405/408/413/431/503 through
     this so error payloads are uniform (golden-pinned in the tests). *)
 
-val error : status:int -> string -> Ds_util.Json.t
-(** [error ~status msg] is [error_envelope ~status msg] — the
-    historical name, kept for callers that predate the uniform
-    constructor. *)
-
 val data : Ds_util.Json.t -> Ds_util.Json.t
 (** Unwrap: the [data] member of an envelope, or the document itself
     when it is not enveloped (pre-v1 producers). *)

@@ -87,8 +87,9 @@ let vmlinux t v cfg =
   Par.Memo.find_or_compute t.vmlinuxes (key v cfg) (fun () ->
       (* Serialize and re-parse: every analysis works on the bytes a real
          image would provide, not on in-memory structures. *)
-      Ds_bpf.Vmlinux.load
-        (Ds_util.Diag.ok (Ds_elf.Elf.read (Ds_elf.Elf.write (image t v cfg)))))
+      Ds_util.Diag.ok
+        (Ds_bpf.Vmlinux.load
+           (Ds_util.Diag.ok (Ds_elf.Elf.read (Ds_elf.Elf.write (image t v cfg))))))
 
 let surface t v cfg =
   Par.Memo.find_or_compute t.surfaces (key v cfg) (fun () ->
@@ -97,7 +98,7 @@ let surface t v cfg =
             ~cache_if:(fun s -> not (Surface.degraded s))
             ~key:(cache_key t ~label:(key v cfg) [])
             ~encode:Codec_base.encode_surface ~decode:Codec_base.decode_surface
-            (fun () -> Surface.of_vmlinux (vmlinux t v cfg))))
+            (fun () -> Ds_util.Diag.ok (Surface.of_vmlinux (vmlinux t v cfg)))))
 
 let x86_series t = List.map (fun v -> (v, surface t v Config.x86_generic)) Version.all
 

@@ -47,7 +47,7 @@ let dep_of_string s =
 (* Expand a resolved access chain into its intermediate struct/field
    dependencies, following links through the object's own BTF. *)
 let chain_deps obj root_struct path =
-  let env, _ = Ds_btf.Btf.to_env ~ptr_size:8 obj.Obj.o_btf in
+  let env, _ = Ds_util.Diag.ok (Ds_btf.Btf.to_env ~ptr_size:8 obj.Obj.o_btf) in
   let rec go sname path acc =
     match path with
     | [] -> acc

@@ -215,52 +215,41 @@ let assemble (k : Ds_bpf.Vmlinux.t) ~cus ~env ~btf_funcs ~structs ~health =
     s_index = index;
   }
 
-let of_vmlinux (k : Ds_bpf.Vmlinux.t) =
+let of_vmlinux ?mode (k : Ds_bpf.Vmlinux.t) =
   let img = k.Ds_bpf.Vmlinux.v_img in
+  let sink = Diag.Sink.create ?mode ~component:"surface" (fun m -> Ds_bpf.Vmlinux.Bad_vmlinux m) in
+  let report msg = Diag.Sink.report sink Diag.Degraded msg in
   (* DWARF: function declarations, inline sites, call sites. *)
-  let info =
-    match Elf.find_section img ".debug_info" with
-    | Some s -> s.Elf.sec_data
-    | None -> raise (Ds_bpf.Vmlinux.Bad_vmlinux "missing .debug_info")
-  in
-  let abbrev =
-    match Elf.find_section img ".debug_abbrev" with
-    | Some s -> s.Elf.sec_data
-    | None -> raise (Ds_bpf.Vmlinux.Bad_vmlinux "missing .debug_abbrev")
-  in
-  let cus = Diag.ok (Ds_dwarf.Info.decode ~info ~abbrev ()) in
-  (* Structs from BTF (event structs handled with tracepoints). *)
-  let env, btf_funcs =
-    Ds_btf.Btf.to_env ~ptr_size:(Config.ptr_size k.Ds_bpf.Vmlinux.v_arch) k.Ds_bpf.Vmlinux.v_btf
-  in
-  let structs =
-    List.filter (fun (s : Decl.struct_def) -> not (is_event_struct s.sname)) (Decl.structs env)
-  in
-  assemble k ~cus ~env ~btf_funcs ~structs ~health:[]
-
-let of_vmlinux_lenient ?(health = []) (k : Ds_bpf.Vmlinux.t) =
-  let img = k.Ds_bpf.Vmlinux.v_img in
-  let sdiag ?context msg = Diag.v ?context Diag.Degraded ~component:"surface" msg in
-  let cus, dwarf_diags =
+  let cus =
     match (Elf.find_section img ".debug_info", Elf.find_section img ".debug_abbrev") with
     | Some i, Some a ->
-        let o = Ds_dwarf.Info.decode ~mode:`Lenient ~info:i.Elf.sec_data ~abbrev:a.Elf.sec_data () in
-        (Diag.ok o, Diag.diags o)
-    | None, _ -> ([], [ sdiag "missing .debug_info; function surface unavailable" ])
-    | _, None -> ([], [ sdiag "missing .debug_abbrev; function surface unavailable" ])
+        let o = Ds_dwarf.Info.decode ?mode ~info:i.Elf.sec_data ~abbrev:a.Elf.sec_data () in
+        Diag.Sink.absorb sink (Diag.diags o);
+        Diag.ok o
+    | None, _ ->
+        report "missing .debug_info; function surface unavailable";
+        []
+    | _, None ->
+        report "missing .debug_abbrev; function surface unavailable";
+        []
   in
-  let env, btf_funcs, btf_diags =
-    Ds_btf.Btf.to_env_lenient
-      ~ptr_size:(Config.ptr_size k.Ds_bpf.Vmlinux.v_arch)
-      k.Ds_bpf.Vmlinux.v_btf
+  (* Structs from BTF (event structs handled with tracepoints). *)
+  let env, btf_funcs =
+    let o =
+      Ds_btf.Btf.to_env ?mode
+        ~ptr_size:(Config.ptr_size k.Ds_bpf.Vmlinux.v_arch)
+        k.Ds_bpf.Vmlinux.v_btf
+    in
+    Diag.Sink.absorb sink (Diag.diags o);
+    Diag.ok o
   in
   let structs_btf =
     List.filter (fun (s : Decl.struct_def) -> not (is_event_struct s.sname)) (Decl.structs env)
   in
   (* With a dead .BTF, fall back to the struct definitions DWARF carries
      per compile unit: dedup by name, same event-struct exclusion. *)
-  let structs, fallback_diags =
-    if structs_btf <> [] || cus = [] then (structs_btf, [])
+  let structs =
+    if structs_btf <> [] || cus = [] then structs_btf
     else begin
       let seen = Hashtbl.create 256 in
       let from_dwarf =
@@ -276,14 +265,12 @@ let of_vmlinux_lenient ?(health = []) (k : Ds_bpf.Vmlinux.t) =
               cu.Ds_dwarf.Info.cu_structs)
           cus
       in
-      if from_dwarf = [] then ([], [])
-      else
-        ( List.sort (fun (a : Decl.struct_def) b -> compare a.sname b.sname) from_dwarf,
-          [ sdiag "no structs in BTF; struct surface recovered from DWARF" ] )
+      if from_dwarf <> [] then report "no structs in BTF; struct surface recovered from DWARF";
+      List.sort (fun (a : Decl.struct_def) b -> compare a.sname b.sname) from_dwarf
     end
   in
-  assemble k ~cus ~env ~btf_funcs ~structs
-    ~health:(health @ dwarf_diags @ btf_diags @ fallback_diags)
+  let health = Diag.Sink.diags sink in
+  Diag.outcome ~diags:health (assemble k ~cus ~env ~btf_funcs ~structs ~health)
 
 let v ~version ~arch ~flavor ~gcc ~funcs ~structs ~tracepoints ~syscalls =
   let funcs = sorted_by fe_key funcs in
@@ -306,8 +293,6 @@ let v ~version ~arch ~flavor ~gcc ~funcs ~structs ~tracepoints ~syscalls =
 
 let with_health health t = { t with s_health = health }
 
-let of_image img = of_vmlinux (Ds_bpf.Vmlinux.load img)
-
 (* Surface for an image nothing could be extracted from: empty lists,
    placeholder identity, the diagnostics telling the story. *)
 let stub ~health =
@@ -315,26 +300,23 @@ let stub ~health =
     (v ~version:(Version.v 0 0) ~arch:Config.X86 ~flavor:Config.Generic ~gcc:(0, 0) ~funcs:[]
        ~structs:[] ~tracepoints:[] ~syscalls:[])
 
-let extract_lenient_impl data =
-  let o = Elf.read ~mode:`Lenient data in
-  let img = Diag.ok o and r_diags = Diag.diags o in
-  if Diag.worst r_diags = Some Diag.Fatal then stub ~health:r_diags
-  else begin
-    let { Ds_bpf.Vmlinux.k_kernel; k_diags } = Ds_bpf.Vmlinux.load_lenient img in
-    let health = r_diags @ k_diags in
-    if Diag.worst k_diags = Some Diag.Fatal then stub ~health
-    else of_vmlinux_lenient ~health k_kernel
-  end
-
-let extract ?(mode = `Strict) data =
+let extract ?mode data =
   Ds_trace.Trace.span ~name:"surface.extract"
     ~attrs:[ ("bytes", string_of_int (String.length data)) ]
     (fun () ->
-      match mode with
-      | `Strict -> Diag.outcome (of_image (Diag.ok (Elf.read data)))
-      | `Lenient ->
-          let t = extract_lenient_impl data in
-          Diag.outcome ~diags:t.s_health t)
+      let fatal o = Diag.worst (Diag.diags o) = Some Diag.Fatal in
+      let elf = Elf.read ?mode data in
+      let s =
+        if fatal elf then stub ~health:(Diag.diags elf)
+        else
+          let k = Ds_bpf.Vmlinux.load ?mode (Diag.ok elf) in
+          let health = Diag.diags elf @ Diag.diags k in
+          if fatal k then stub ~health
+          else
+            let o = of_vmlinux ?mode (Diag.ok k) in
+            with_health (health @ Diag.diags o) (Diag.ok o)
+      in
+      Diag.outcome ~diags:s.s_health s)
 
 let health t = t.s_health
 let degraded t = Diag.is_degraded t.s_health

@@ -75,27 +75,22 @@ val v :
 val with_health : Ds_util.Diag.t list -> t -> t
 
 val extract : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
-(** Unified entrypoint: full extraction straight from the raw image
-    bytes. [`Strict] (the default) raises the parsers' typed exceptions
-    ([Bad_elf], [Bad_vmlinux], ...) on the first problem and returns
-    empty [diags]. [`Lenient] never raises: whatever the four parsers
-    could not recover is described in [diags] (mirrored in the
-    surface's [s_health]); a hopeless input (not an ELF, or a BPF
-    object) yields an empty surface whose health carries a [Fatal]
-    diagnostic. *)
+(** Full extraction straight from the raw image bytes, through the ELF,
+    vmlinux, DWARF and BTF readers in the same [mode]. [`Strict] (the
+    default) raises the readers' typed exceptions ([Bad_elf],
+    [Bad_vmlinux], [Bad_dwarf], [Bad_btf]) at the first problem and
+    returns empty [diags]. [`Lenient] never raises: whatever could not
+    be recovered is described in [diags] (mirrored in the surface's
+    [s_health]); a hopeless input (not an ELF, or a BPF object) yields
+    an empty surface whose health carries a [Fatal] diagnostic. *)
 
-val of_image : Ds_elf.Elf.t -> t
-(** Strict extraction from an already-parsed image (the historical
-    [extract]). *)
-
-val of_vmlinux : Ds_bpf.Vmlinux.t -> t
-(** Reuse an already-loaded kernel view (avoids re-decoding BTF and the
-    data sections). *)
-
-val of_vmlinux_lenient : ?health:Ds_util.Diag.t list -> Ds_bpf.Vmlinux.t -> t
-(** Lenient counterpart of {!of_vmlinux}: missing DWARF empties the
-    function surface, a dead BTF falls back to DWARF struct definitions.
-    [health] prepends diagnostics already collected upstream. *)
+val of_vmlinux : ?mode:Ds_util.Diag.mode -> Ds_bpf.Vmlinux.t -> t Ds_util.Diag.outcome
+(** Extract from an already-loaded kernel view (avoids re-decoding BTF
+    and the data sections). Missing DWARF and a BTF without structs are
+    reported like the readers' problems: [`Strict] (the default) raises
+    [Bad_vmlinux]; [`Lenient] empties the function surface, falls back
+    to DWARF struct definitions, and sets [diags] and [s_health] to
+    what was lost here. *)
 
 val health : t -> Ds_util.Diag.t list
 val degraded : t -> bool

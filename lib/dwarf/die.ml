@@ -247,169 +247,15 @@ let encode t =
   Bytesio.Writer.uleb128 abbrev 0;
   (Bytesio.Writer.contents info, Bytesio.Writer.contents abbrev)
 
-type decode_result = { dw_arena : t; dw_diags : Ds_util.Diag.t list }
-
-(* Lenient parsing: a failure inside one compile unit skips just that
-   unit (the unit header's length field locates the next unit boundary,
-   which is what real consumers resync on), and failures in the shared
-   abbrev table or in the reference-remap pass degrade rather than
-   abort. *)
+(* A failure inside one compile unit skips just that unit (the unit
+   header's length field locates the next unit boundary, which is what
+   real consumers resync on); failures in the shared abbrev table or in
+   the reference-remap pass degrade rather than abort. *)
 exception Unit_fail of string
 
 exception Stop_units
 
-let decode_impl ~strict ~info ~abbrev =
-  let collector = Diag.Collector.create () in
-  let diag ?offset severity msg =
-    if strict then raise (Bad_dwarf msg)
-    else Diag.Collector.emit collector (Diag.v ?offset severity ~component:"dwarf" msg)
-  in
-  (* Abbreviation table. *)
-  let shapes : (int, shape) Hashtbl.t = Hashtbl.create 64 in
-  let ar = Bytesio.Reader.of_string abbrev in
-  (try
-     let rec go () =
-       let code = Bytesio.Reader.uleb128 ar in
-       if code <> 0 then begin
-         let tag = Bytesio.Reader.uleb128 ar in
-         let has_children = Bytesio.Reader.u8 ar = 1 in
-         let rec pairs acc =
-           let at = Bytesio.Reader.uleb128 ar in
-           let form = Bytesio.Reader.uleb128 ar in
-           if at = 0 && form = 0 then List.rev acc else pairs ((at, form) :: acc)
-         in
-         Hashtbl.replace shapes code { s_tag = tag; s_children = has_children; s_pairs = pairs [] };
-         go ()
-       end
-     in
-     go ()
-   with Bytesio.Truncated _ ->
-     diag ~offset:(Bytesio.Reader.pos ar) Diag.Degraded "truncated abbrev");
-  (* Info section: parse units. *)
-  let b = Builder.create () in
-  let offset_to_id : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  (* Refs are recorded as raw section offsets first; a remapping pass
-     rewrites them to arena ids once every DIE is known. *)
-  let r = Bytesio.Reader.of_string info in
-  let ufail msg = if strict then raise (Bad_dwarf msg) else raise (Unit_fail msg) in
-  let rec parse_die () =
-    let die_off = Bytesio.Reader.pos r in
-    let code = Bytesio.Reader.uleb128 r in
-    if code = 0 then None
-    else begin
-      let shape =
-        match Hashtbl.find_opt shapes code with
-        | Some s -> s
-        | None -> ufail (Printf.sprintf "unknown abbrev %d" code)
-      in
-      let attrs =
-        List.map
-          (fun (at, form) ->
-            let v =
-              if form = form_string then String (Bytesio.Reader.cstring r)
-              else if form = form_udata then Int (Bytesio.Reader.uleb128 r)
-              else if form = form_data8 then Addr (Bytesio.Reader.u64 r)
-              else if form = form_flag_present then Flag
-              else if form = form_ref4 then Ref (Bytesio.Reader.u32 r)
-              else ufail (Printf.sprintf "unsupported form 0x%x" form)
-            in
-            (at, v))
-          shape.s_pairs
-      in
-      let children =
-        if shape.s_children then begin
-          let rec go acc =
-            match parse_die () with None -> List.rev acc | Some id -> go (id :: acc)
-          in
-          go []
-        end
-        else []
-      in
-      let id = Builder.add b ~tag:shape.s_tag ~attrs ~children in
-      Hashtbl.replace offset_to_id die_off id;
-      Some id
-    end
-  in
-  (* Consecutive resync failures mean we are walking garbage (e.g. a
-     zeroed region where every 4-byte "length" is 0): bail rather than
-     emit one diagnostic per word of junk. *)
-  let max_consecutive_skips = 8 in
-  let consecutive_skips = ref 0 in
-  (try
-     while not (Bytesio.Reader.eof r) do
-       let unit_start = Bytesio.Reader.pos r in
-       let len =
-         match Bytesio.Reader.u32 r with
-         | len -> len
-         | exception Bytesio.Truncated _ ->
-             if strict then raise (Bad_dwarf "truncated info");
-             diag ~offset:unit_start Diag.Degraded "truncated unit header; rest of .debug_info dropped";
-             raise Stop_units
-       in
-       let skip msg =
-         incr consecutive_skips;
-         diag ~offset:unit_start Diag.Degraded
-           (Printf.sprintf "unit at offset %d: %s; unit skipped" unit_start msg);
-         (* resync on the unit length field; [unit_start + 4 + len] is the
-            start of the next unit in a well-formed stream *)
-         let next = unit_start + 4 + len in
-         if next > String.length info then begin
-           diag ~offset:unit_start Diag.Degraded "rest of .debug_info dropped";
-           raise Stop_units
-         end
-         else if !consecutive_skips >= max_consecutive_skips then begin
-           diag ~offset:unit_start Diag.Degraded
-             (Printf.sprintf "%d consecutive undecodable units; rest of .debug_info dropped"
-                !consecutive_skips);
-           raise Stop_units
-         end
-         else Bytesio.Reader.seek r next
-       in
-       try
-         let version = Bytesio.Reader.u16 r in
-         if version <> 4 then ufail "bad version";
-         let _abbrev_off = Bytesio.Reader.u32 r in
-         let _addr_size = Bytesio.Reader.u8 r in
-         (match parse_die () with
-         | Some id -> Builder.add_root b id
-         | None -> ufail "empty unit");
-         consecutive_skips := 0
-       with
-       | Unit_fail msg -> skip msg
-       | Bytesio.Truncated _ ->
-           if strict then raise (Bad_dwarf "truncated info");
-           skip "truncated"
-     done
-   with Stop_units -> ());
-  let arena = Builder.finish b in
-  (* Rewrite Ref values from section offsets to arena ids. *)
-  let dangling = ref 0 in
-  let dies =
-    Array.map
-      (fun die ->
-        let attrs =
-          List.filter_map
-            (fun (at, v) ->
-              match v with
-              | Ref off -> (
-                  match Hashtbl.find_opt offset_to_id off with
-                  | Some id -> Some (at, Ref id)
-                  | None ->
-                      if strict then
-                        raise (Bad_dwarf (Printf.sprintf "dangling ref to offset %d" off));
-                      incr dangling;
-                      None)
-              | _ -> Some (at, v))
-            die.attrs
-        in
-        { die with attrs })
-      arena.dies
-  in
-  if !dangling > 0 then
-    diag Diag.Degraded (Printf.sprintf "%d dangling references dropped" !dangling);
-  { dw_arena = { dies; root_ids = arena.root_ids }; dw_diags = Diag.Collector.diags collector }
-
-let decode ?(mode = `Strict) ~info ~abbrev () =
+let decode ?mode ~info ~abbrev () =
   Ds_trace.Trace.span ~name:"dwarf.die.decode"
     ~attrs:
       [
@@ -417,9 +263,142 @@ let decode ?(mode = `Strict) ~info ~abbrev () =
         ("abbrev_bytes", string_of_int (String.length abbrev));
       ]
     (fun () ->
-      match mode with
-      | `Strict -> Diag.outcome (decode_impl ~strict:true ~info ~abbrev).dw_arena
-      | `Lenient ->
-          let r = decode_impl ~strict:false ~info ~abbrev in
-          Diag.outcome ~diags:r.dw_diags r.dw_arena)
-
+      let sink = Diag.Sink.create ?mode ~component:"dwarf" (fun m -> Bad_dwarf m) in
+      (* Abbreviation table. *)
+      let shapes : (int, shape) Hashtbl.t = Hashtbl.create 64 in
+      let ar = Bytesio.Reader.of_string abbrev in
+      (try
+         let rec go () =
+           let code = Bytesio.Reader.uleb128 ar in
+           if code <> 0 then begin
+             let tag = Bytesio.Reader.uleb128 ar in
+             let has_children = Bytesio.Reader.u8 ar = 1 in
+             let rec pairs acc =
+               let at = Bytesio.Reader.uleb128 ar in
+               let form = Bytesio.Reader.uleb128 ar in
+               if at = 0 && form = 0 then List.rev acc else pairs ((at, form) :: acc)
+             in
+             Hashtbl.replace shapes code
+               { s_tag = tag; s_children = has_children; s_pairs = pairs [] };
+             go ()
+           end
+         in
+         go ()
+       with Bytesio.Truncated _ ->
+         Diag.Sink.report sink ~offset:(Bytesio.Reader.pos ar) Diag.Degraded "truncated abbrev");
+      (* Info section: parse units. *)
+      let b = Builder.create () in
+      let offset_to_id : (int, int) Hashtbl.t = Hashtbl.create 256 in
+      (* Refs are recorded as raw section offsets first; a remapping pass
+         rewrites them to arena ids once every DIE is known. *)
+      let r = Bytesio.Reader.of_string info in
+      let ufail msg = raise (Unit_fail msg) in
+      let rec parse_die () =
+        let die_off = Bytesio.Reader.pos r in
+        let code = Bytesio.Reader.uleb128 r in
+        if code = 0 then None
+        else begin
+          let shape =
+            match Hashtbl.find_opt shapes code with
+            | Some s -> s
+            | None -> ufail (Printf.sprintf "unknown abbrev %d" code)
+          in
+          let attrs =
+            List.map
+              (fun (at, form) ->
+                let v =
+                  if form = form_string then String (Bytesio.Reader.cstring r)
+                  else if form = form_udata then Int (Bytesio.Reader.uleb128 r)
+                  else if form = form_data8 then Addr (Bytesio.Reader.u64 r)
+                  else if form = form_flag_present then Flag
+                  else if form = form_ref4 then Ref (Bytesio.Reader.u32 r)
+                  else ufail (Printf.sprintf "unsupported form 0x%x" form)
+                in
+                (at, v))
+              shape.s_pairs
+          in
+          let children =
+            if shape.s_children then begin
+              let rec go acc =
+                match parse_die () with None -> List.rev acc | Some id -> go (id :: acc)
+              in
+              go []
+            end
+            else []
+          in
+          let id = Builder.add b ~tag:shape.s_tag ~attrs ~children in
+          Hashtbl.replace offset_to_id die_off id;
+          Some id
+        end
+      in
+      (* Consecutive resync failures mean we are walking garbage (e.g. a
+         zeroed region where every 4-byte "length" is 0): bail rather than
+         emit one diagnostic per word of junk. *)
+      let max_consecutive_skips = 8 in
+      let consecutive_skips = ref 0 in
+      let drop_rest ~offset msg =
+        Diag.Sink.report sink ~offset Diag.Degraded msg;
+        raise Stop_units
+      in
+      (try
+         while not (Bytesio.Reader.eof r) do
+           let unit_start = Bytesio.Reader.pos r in
+           let len =
+             try Bytesio.Reader.u32 r
+             with Bytesio.Truncated _ ->
+               drop_rest ~offset:unit_start "truncated unit header; rest of .debug_info dropped"
+           in
+           let skip msg =
+             incr consecutive_skips;
+             Diag.Sink.report sink
+               ~context:(Printf.sprintf "unit at offset %d" unit_start)
+               ~offset:unit_start Diag.Degraded msg;
+             (* resync on the unit length field; [unit_start + 4 + len] is
+                the start of the next unit in a well-formed stream *)
+             let next = unit_start + 4 + len in
+             if next > String.length info then
+               drop_rest ~offset:unit_start "rest of .debug_info dropped"
+             else if !consecutive_skips >= max_consecutive_skips then
+               drop_rest ~offset:unit_start
+                 (Printf.sprintf "%d consecutive undecodable units; rest of .debug_info dropped"
+                    !consecutive_skips)
+             else Bytesio.Reader.seek r next
+           in
+           try
+             let version = Bytesio.Reader.u16 r in
+             if version <> 4 then ufail "bad version";
+             let _abbrev_off = Bytesio.Reader.u32 r in
+             let _addr_size = Bytesio.Reader.u8 r in
+             (match parse_die () with
+             | Some id -> Builder.add_root b id
+             | None -> ufail "empty unit");
+             consecutive_skips := 0
+           with
+           | Unit_fail msg -> skip msg
+           | Bytesio.Truncated _ -> skip "truncated"
+         done
+       with Stop_units -> ());
+      let arena = Builder.finish b in
+      (* Rewrite Ref values from section offsets to arena ids. *)
+      let dangling = Diag.Sink.tally sink in
+      let dies =
+        Array.map
+          (fun die ->
+            let attrs =
+              List.filter_map
+                (fun (at, v) ->
+                  match v with
+                  | Ref off -> (
+                      match Hashtbl.find_opt offset_to_id off with
+                      | Some id -> Some (at, Ref id)
+                      | None ->
+                          Diag.Sink.skip dangling (Printf.sprintf "dangling ref to offset %d" off);
+                          None)
+                  | _ -> Some (at, v))
+                die.attrs
+            in
+            { die with attrs })
+          arena.dies
+      in
+      Diag.Sink.close dangling (Printf.sprintf "%d dangling references dropped");
+      Diag.Sink.outcome sink { dies; root_ids = arena.root_ids })

@@ -117,9 +117,10 @@ val encode : t -> string * string
 
 val decode :
   ?mode:Ds_util.Diag.mode -> info:string -> abbrev:string -> unit -> t Ds_util.Diag.outcome
-(** Unified entrypoint. [`Strict] (the default) raises [Bad_dwarf] on
-    the first malformed byte, returning empty [diags]. [`Lenient] never
-    raises: a failure inside one compile unit skips just that unit
-    (resynchronizing on the unit header's length field), dangling
-    references are dropped, and the losses are described in [diags].
-    The trailing [unit] forces resolution of the optional [?mode]. *)
+(** Decode the two sections. A malformed unit, a truncated abbrev table
+    or a dangling reference is reported to the mode's
+    {!Ds_util.Diag.Sink}: [`Strict] (the default) raises [Bad_dwarf] at
+    the first one; [`Lenient] skips just that unit (resynchronizing on
+    the unit header's length field) or drops the reference, and
+    describes the loss in [diags]. The trailing [unit] forces
+    resolution of the optional [?mode]. *)

@@ -1,5 +1,6 @@
 open Ds_ctypes
 open Die
+module Diag = Ds_util.Diag
 
 type inlined_call = { ic_callee : string; ic_pc : int64; ic_call_line : int }
 
@@ -477,42 +478,23 @@ let decode_cu_of arena =
   in
   decode_cu
 
-let decode_strict ~info ~abbrev =
-  let arena = Ds_util.Diag.ok (Die.decode ~info ~abbrev ()) in
-  List.map (decode_cu_of arena) (Die.roots arena)
-
-let decode_lenient_impl ~info ~abbrev =
-  let o = Die.decode ~mode:`Lenient ~info ~abbrev () in
-  let arena = Ds_util.Diag.ok o and dw_diags = Ds_util.Diag.diags o in
-  let decode_cu = decode_cu_of arena in
-  let skipped = ref 0 in
-  let cus =
-    List.filter_map
-      (fun root ->
-        match decode_cu root with
-        | cu -> Some cu
-        | exception Bad_dwarf _ ->
-            incr skipped;
-            None)
-      (Die.roots arena)
-  in
-  let diags =
-    dw_diags
-    @
-    if !skipped > 0 then
-      [
-        Ds_util.Diag.v Ds_util.Diag.Degraded ~component:"dwarf"
-          (Printf.sprintf "%d compile units undecodable (skipped)" !skipped);
-      ]
-    else []
-  in
-  (cus, diags)
-
-let decode ?(mode = `Strict) ~info ~abbrev () =
+let decode ?mode ~info ~abbrev () =
   Ds_trace.Trace.span ~name:"dwarf.info.decode" (fun () ->
-      match mode with
-      | `Strict -> Ds_util.Diag.outcome (decode_strict ~info ~abbrev)
-      | `Lenient ->
-          let cus, diags = decode_lenient_impl ~info ~abbrev in
-          Ds_util.Diag.outcome ~diags cus)
-
+      let sink = Diag.Sink.create ?mode ~component:"dwarf" (fun m -> Bad_dwarf m) in
+      let o = Die.decode ?mode ~info ~abbrev () in
+      Diag.Sink.absorb sink (Diag.diags o);
+      let arena = Diag.ok o in
+      let decode_cu = decode_cu_of arena in
+      let skipped = Diag.Sink.tally sink in
+      let cus =
+        List.filter_map
+          (fun root ->
+            match decode_cu root with
+            | cu -> Some cu
+            | exception Bad_dwarf m ->
+                Diag.Sink.skip skipped m;
+                None)
+          (Die.roots arena)
+      in
+      Diag.Sink.close skipped (Printf.sprintf "%d compile units undecodable (skipped)");
+      Diag.Sink.outcome sink cus)

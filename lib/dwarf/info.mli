@@ -49,10 +49,8 @@ val encode : cu list -> string * string
 
 val decode :
   ?mode:Ds_util.Diag.mode -> info:string -> abbrev:string -> unit -> cu list Ds_util.Diag.outcome
-(** Unified entrypoint; inverse of {!encode}. [`Strict] (the default)
-    raises [Die.Bad_dwarf] on malformed input, returning empty [diags].
-    [`Lenient] never raises: malformed compile units are skipped
-    individually (resynchronizing on unit boundaries) and the losses are
-    described in [diags]. The trailing [unit] forces resolution of the
-    optional [?mode]. *)
-
+(** Inverse of {!encode}. [`Strict] (the default) raises [Die.Bad_dwarf]
+    at the first malformed unit, DIE or type reference; [`Lenient]
+    skips malformed compile units individually (resynchronizing on unit
+    boundaries) and describes the losses in [diags]. The trailing
+    [unit] forces resolution of the optional [?mode]. *)

@@ -188,202 +188,170 @@ let write t =
    1..n, .shstrtab is index n (the last); shnum = n + 1, so shstrndx must
    be shnum - 1. *)
 
-type read_result = { r_elf : t; r_diags : Diag.t list }
+(* [Stop] ends a lenient read after a fatal diagnostic; whatever was
+   recovered up to then is returned. *)
+exception Stop
 
-(* Shared strict/lenient reader core. In strict mode every diagnostic
-   raises [Bad_elf] immediately (the historical fail-fast behaviour, with
-   the historical messages); in lenient mode diagnostics are collected,
-   broken pieces are skipped, and whatever parsed cleanly is returned.
-   [Stop elf] aborts lenient parsing early with a partial image after a
-   fatal diagnostic has been recorded. *)
-exception Stop of t
-
-let read_impl ~strict data =
-  let collector = Diag.Collector.create () in
-  let diag ?context ?offset severity msg =
-    if strict then raise (Bad_elf msg)
-    else Diag.Collector.emit collector (Diag.v ?context ?offset severity ~component:"elf" msg)
-  in
-  let stub machine = { machine; sections = []; symbols = [] } in
-  let fatal ?context ?offset elf msg =
-    diag ?context ?offset Diag.Fatal msg;
-    raise (Stop elf)
-  in
-  let len = String.length data in
-  let elf =
-    try
-      if len < ehdr_size then fatal ~offset:len (stub X86_64) "too short";
-      if not (data.[0] = '\x7f' && data.[1] = 'E' && data.[2] = 'L' && data.[3] = 'F') then
-        fatal ~offset:0 (stub X86_64) "bad magic";
-      let endian =
-        match data.[5] with
-        | '\001' -> Bytesio.Little
-        | '\002' -> Bytesio.Big
-        | _ -> fatal ~offset:5 (stub X86_64) "bad EI_DATA"
-      in
-      let r = Bytesio.Reader.of_string ~endian data in
-      Bytesio.Reader.seek r 18;
-      let machine =
-        match machine_of_code (Bytesio.Reader.u16 r) with
-        | m -> m
-        | exception Invalid_argument m ->
-            (* Satellite bugfix: an unknown e_machine is a degraded surface
-               (fall back to x86-64 layout), not an abort — except under
-               --strict, where the historical message is preserved. *)
-            diag ~offset:18 ~context:"Unknown_machine" Diag.Degraded m;
-            X86_64
-      in
-      let shoff, shentsize, shnum, shstrndx =
-        try
-          Bytesio.Reader.seek r 40;
-          let shoff = Bytesio.Reader.uint r in
-          Bytesio.Reader.seek r 58;
-          let shentsize = Bytesio.Reader.u16 r in
-          let shnum = Bytesio.Reader.u16 r in
-          let shstrndx = Bytesio.Reader.u16 r in
-          (shoff, shentsize, shnum, shstrndx)
-        with Bytesio.Truncated what ->
-          fatal ~offset:40 (stub machine) ("truncated: " ^ what)
-      in
-      if shentsize <> shdr_size then fatal ~offset:58 (stub machine) "bad shentsize";
-      if shstrndx >= shnum then fatal ~offset:62 (stub machine) "bad shstrndx";
-      let read_shdr i =
-        Bytesio.Reader.seek r (shoff + (i * shdr_size));
-        let name_off = Bytesio.Reader.u32 r in
-        let _typ = Bytesio.Reader.u32 r in
-        let _flags = Bytesio.Reader.u64 r in
-        let addr = Bytesio.Reader.u64 r in
-        let off = Bytesio.Reader.uint r in
-        let size = Bytesio.Reader.uint r in
-        (name_off, addr, off, size)
-      in
-      let shstr =
-        try
-          let _, _, shstr_off, shstr_size = read_shdr shstrndx in
-          Bytesio.Reader.sub r ~pos:shstr_off ~len:shstr_size
-        with Bytesio.Truncated what ->
-          fatal ~offset:shoff (stub machine) ("truncated: " ^ what)
-      in
-      let section_name off = Bytesio.Reader.cstring_at shstr off in
-      (* Section headers are laid out sequentially: once one fails to read,
-         the rest of the table is gone too — one diagnostic, not 64k. *)
-      let headers = ref [] in
-      Ds_trace.Trace.span ~name:"elf.shdrs"
-        ~attrs:[ ("shnum", string_of_int shnum) ]
-        (fun () ->
-          try
-            for i = 1 to shnum - 1 do
-              headers := (i, read_shdr i) :: !headers
-            done
-          with Bytesio.Truncated what ->
-            diag ~offset:shoff Diag.Degraded
-              (Printf.sprintf "section header table truncated (%s)" what));
-      let named =
-        List.filter_map
-          (fun (i, (name_off, addr, off, size)) ->
-            match section_name name_off with
-            | name -> Some (i, name, addr, off, size)
-            | exception Bytesio.Truncated _ ->
-                diag
-                  ~offset:(shoff + (i * shdr_size))
-                  Diag.Degraded
-                  (Printf.sprintf "section %d: name offset %d outside .shstrtab" i name_off);
-                None)
-          (List.rev !headers)
-      in
-      let sections =
-        List.filter_map
-          (fun (i, name, addr, off, size) ->
-            if name = ".shstrtab" then None
-              (* Satellite bugfix: a bogus sh_offset/sh_size used to escape
-                 as an uncaught [Invalid_argument] from [String.sub]. *)
-            else if off < 0 || size < 0 || off > len || size > len - off then begin
-              diag ~context:name
-                ~offset:(shoff + (i * shdr_size))
-                Diag.Degraded
-                (Printf.sprintf "section %s out of bounds (off %d size %d, file %d bytes)" name
-                   off size len);
-              None
-            end
-            else Some { sec_name = name; sec_addr = addr; sec_data = String.sub data off size })
-          named
-      in
-      let find name = List.find_opt (fun s -> s.sec_name = name) sections in
-      let symbols =
-        Ds_trace.Trace.span ~name:"elf.symtab" (fun () ->
-        match (find ".symtab", find ".strtab") with
-        | Some symtab, Some strtab ->
-            let str = Bytesio.Reader.of_string ~endian strtab.sec_data in
-            let sr = Bytesio.Reader.of_string ~endian symtab.sec_data in
-            let n = String.length symtab.sec_data / sym_size in
-            let non_meta =
-              List.filter
-                (fun s -> s.sec_name <> ".symtab" && s.sec_name <> ".strtab")
-                sections
-            in
-            let section_by_index i =
-              (* header index 1..n maps to user sections in order; index 0
-                 (SHN_UNDEF, e.g. from a zeroed record) has no section —
-                 [List.nth_opt] raises on the negative index, not None *)
-              if i <= 0 then ""
-              else match List.nth_opt non_meta (i - 1) with Some s -> s.sec_name | None -> ""
-            in
-            let parse i =
-              Bytesio.Reader.seek sr ((i + 1) * sym_size);
-              let name_off = Bytesio.Reader.u32 sr in
-              let info = Bytesio.Reader.u8 sr in
-              let _other = Bytesio.Reader.u8 sr in
-              let shndx = Bytesio.Reader.u16 sr in
-              let value = Bytesio.Reader.u64 sr in
-              let size = Bytesio.Reader.uint sr in
-              {
-                sym_name = Bytesio.Reader.cstring_at str name_off;
-                sym_value = value;
-                sym_size = size;
-                sym_bind = bind_of_code (info lsr 4);
-                sym_section = section_by_index shndx;
-              }
-            in
-            let out = ref [] in
-            let bad = ref 0 in
-            for i = 0 to n - 2 do
-              match parse i with
-              | s -> out := s :: !out
-              | exception Bad_elf m ->
-                  if strict then raise (Bad_elf m);
-                  incr bad
-              | exception Bytesio.Truncated what ->
-                  if strict then raise (Bad_elf ("truncated: " ^ what));
-                  incr bad
-            done;
-            if !bad > 0 then
-              diag ~context:".symtab" Diag.Degraded
-                (Printf.sprintf "%d of %d symbol records malformed (skipped)" !bad (n - 1));
-            List.rev !out
-        | _ -> [])
-      in
-      let sections =
-        List.filter (fun s -> s.sec_name <> ".symtab" && s.sec_name <> ".strtab") sections
-      in
-      { machine; sections; symbols }
-    with Stop partial -> partial
-  in
-  { r_elf = elf; r_diags = Diag.Collector.diags collector }
-
-let read ?(mode = `Strict) data =
+let read ?mode data =
   Ds_trace.Trace.span ~name:"elf.read"
     ~attrs:[ ("bytes", string_of_int (String.length data)) ]
     (fun () ->
-      match mode with
-      | `Strict ->
-          let r =
-            try read_impl ~strict:true data
-            with Bytesio.Truncated what -> raise (Bad_elf ("truncated: " ^ what))
-          in
-          Diag.outcome r.r_elf
-      | `Lenient ->
-          let r = read_impl ~strict:false data in
-          Diag.outcome ~diags:r.r_diags r.r_elf)
+      let sink = Diag.Sink.create ?mode ~component:"elf" (fun m -> Bad_elf m) in
+      let partial = ref { machine = X86_64; sections = []; symbols = [] } in
+      let fatal ~offset msg =
+        Diag.Sink.report sink ~offset Diag.Fatal msg;
+        raise Stop
+      in
+      let len = String.length data in
+      (try
+         if len < ehdr_size then fatal ~offset:len "too short";
+         if not (data.[0] = '\x7f' && data.[1] = 'E' && data.[2] = 'L' && data.[3] = 'F') then
+           fatal ~offset:0 "bad magic";
+         let endian =
+           match data.[5] with
+           | '\001' -> Bytesio.Little
+           | '\002' -> Bytesio.Big
+           | _ -> fatal ~offset:5 "bad EI_DATA"
+         in
+         let r = Bytesio.Reader.of_string ~endian data in
+         Bytesio.Reader.seek r 18;
+         let machine =
+           match machine_of_code (Bytesio.Reader.u16 r) with
+           | m -> m
+           | exception Invalid_argument m ->
+               (* an unknown e_machine degrades to the x86-64 layout *)
+               Diag.Sink.report sink ~offset:18 Diag.Degraded m;
+               X86_64
+         in
+         partial := { !partial with machine };
+         let shoff, shentsize, shnum, shstrndx =
+           try
+             Bytesio.Reader.seek r 40;
+             let shoff = Bytesio.Reader.uint r in
+             Bytesio.Reader.seek r 58;
+             let shentsize = Bytesio.Reader.u16 r in
+             let shnum = Bytesio.Reader.u16 r in
+             let shstrndx = Bytesio.Reader.u16 r in
+             (shoff, shentsize, shnum, shstrndx)
+           with Bytesio.Truncated what -> fatal ~offset:40 ("truncated: " ^ what)
+         in
+         if shentsize <> shdr_size then fatal ~offset:58 "bad shentsize";
+         if shstrndx >= shnum then fatal ~offset:62 "bad shstrndx";
+         let read_shdr i =
+           Bytesio.Reader.seek r (shoff + (i * shdr_size));
+           let name_off = Bytesio.Reader.u32 r in
+           let _typ = Bytesio.Reader.u32 r in
+           let _flags = Bytesio.Reader.u64 r in
+           let addr = Bytesio.Reader.u64 r in
+           let off = Bytesio.Reader.uint r in
+           let size = Bytesio.Reader.uint r in
+           (name_off, addr, off, size)
+         in
+         let shstr =
+           try
+             let _, _, shstr_off, shstr_size = read_shdr shstrndx in
+             Bytesio.Reader.sub r ~pos:shstr_off ~len:shstr_size
+           with Bytesio.Truncated what -> fatal ~offset:shoff ("truncated: " ^ what)
+         in
+         let section_name off = Bytesio.Reader.cstring_at shstr off in
+         (* Section headers are laid out sequentially: once one fails to
+            read, the rest of the table is gone too — one diagnostic, not
+            64k. *)
+         let headers = ref [] in
+         Ds_trace.Trace.span ~name:"elf.shdrs"
+           ~attrs:[ ("shnum", string_of_int shnum) ]
+           (fun () ->
+             try
+               for i = 1 to shnum - 1 do
+                 headers := (i, read_shdr i) :: !headers
+               done
+             with Bytesio.Truncated what ->
+               Diag.Sink.report sink ~offset:shoff Diag.Degraded
+                 (Printf.sprintf "section header table truncated (%s)" what));
+         let named =
+           List.filter_map
+             (fun (i, (name_off, addr, off, size)) ->
+               match section_name name_off with
+               | name -> Some (i, name, addr, off, size)
+               | exception Bytesio.Truncated _ ->
+                   Diag.Sink.report sink
+                     ~offset:(shoff + (i * shdr_size))
+                     Diag.Degraded
+                     (Printf.sprintf "section %d: name offset %d outside .shstrtab" i name_off);
+                   None)
+             (List.rev !headers)
+         in
+         let sections =
+           List.filter_map
+             (fun (i, name, addr, off, size) ->
+               if name = ".shstrtab" then None
+               else if off < 0 || size < 0 || off > len || size > len - off then begin
+                 Diag.Sink.report sink
+                   ~offset:(shoff + (i * shdr_size))
+                   Diag.Degraded
+                   (Printf.sprintf "section %s out of bounds (off %d size %d, file %d bytes)" name
+                      off size len);
+                 None
+               end
+               else Some { sec_name = name; sec_addr = addr; sec_data = String.sub data off size })
+             named
+         in
+         let find name = List.find_opt (fun s -> s.sec_name = name) sections in
+         let symbols =
+           Ds_trace.Trace.span ~name:"elf.symtab" (fun () ->
+           match (find ".symtab", find ".strtab") with
+           | Some symtab, Some strtab ->
+               let str = Bytesio.Reader.of_string ~endian strtab.sec_data in
+               let sr = Bytesio.Reader.of_string ~endian symtab.sec_data in
+               let n = String.length symtab.sec_data / sym_size in
+               let non_meta =
+                 List.filter
+                   (fun s -> s.sec_name <> ".symtab" && s.sec_name <> ".strtab")
+                   sections
+               in
+               let section_by_index i =
+                 (* header index 1..n maps to user sections in order;
+                    index 0 (SHN_UNDEF, e.g. from a zeroed record) has no
+                    section — [List.nth_opt] raises on the negative index,
+                    not None *)
+                 if i <= 0 then ""
+                 else match List.nth_opt non_meta (i - 1) with Some s -> s.sec_name | None -> ""
+               in
+               let parse i =
+                 Bytesio.Reader.seek sr ((i + 1) * sym_size);
+                 let name_off = Bytesio.Reader.u32 sr in
+                 let info = Bytesio.Reader.u8 sr in
+                 let _other = Bytesio.Reader.u8 sr in
+                 let shndx = Bytesio.Reader.u16 sr in
+                 let value = Bytesio.Reader.u64 sr in
+                 let size = Bytesio.Reader.uint sr in
+                 {
+                   sym_name = Bytesio.Reader.cstring_at str name_off;
+                   sym_value = value;
+                   sym_size = size;
+                   sym_bind = bind_of_code (info lsr 4);
+                   sym_section = section_by_index shndx;
+                 }
+               in
+               let out = ref [] in
+               let bad = Diag.Sink.tally ~context:".symtab" sink in
+               for i = 0 to n - 2 do
+                 match parse i with
+                 | s -> out := s :: !out
+                 | exception Bad_elf m -> Diag.Sink.skip bad m
+                 | exception Bytesio.Truncated what -> Diag.Sink.skip bad ("truncated: " ^ what)
+               done;
+               Diag.Sink.close bad
+                 (fun k -> Printf.sprintf "%d of %d symbol records malformed (skipped)" k (n - 1));
+               List.rev !out
+           | _ -> [])
+         in
+         let sections =
+           List.filter (fun s -> s.sec_name <> ".symtab" && s.sec_name <> ".strtab") sections
+         in
+         partial := { machine; sections; symbols }
+       with Stop -> ());
+      Diag.Sink.outcome sink !partial)
 
 let find_section t name = List.find_opt (fun s -> s.sec_name = name) t.sections
 

@@ -44,14 +44,12 @@ val write : t -> string
 (** Serialize to ELF64 bytes. *)
 
 val read : ?mode:Ds_util.Diag.mode -> string -> t Ds_util.Diag.outcome
-(** Unified entrypoint. [`Strict] (the default) parses bytes produced by
-    {!write} (or any file using the same subset) and raises [Bad_elf] on
-    the first malformed byte, returning empty [diags]. [`Lenient] never
-    raises: whatever parses cleanly is kept (malformed sections, symbol
-    records or an unknown [e_machine] are skipped or defaulted) and
-    everything lost is described in [diags]; an unrecoverable failure
-    (not an ELF file at all) yields an empty image plus a [Fatal]
-    diagnostic. *)
+(** Parse ELF bytes. Malformed sections, symbol records or an unknown
+    [e_machine] are reported to the mode's {!Ds_util.Diag.Sink}:
+    [`Strict] (the default) raises [Bad_elf] at the first one, [`Lenient]
+    skips or defaults the piece, keeps whatever parses cleanly and
+    describes the loss in [diags]; an input that is not an ELF file at
+    all yields an empty image plus a [Fatal] diagnostic. *)
 
 val find_section : t -> string -> section option
 val section_reader : t -> string -> Ds_util.Bytesio.Reader.t option

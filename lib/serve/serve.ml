@@ -130,11 +130,8 @@ let create ?images_dir ?limits ~ds ~pool () =
   }
 
 let metrics t = t.sv_metrics
-let watch t = t.sv_watch
 
 let parked_count t = Mutex.protect t.sv_park_mu (fun () -> List.length !(t.sv_parked))
-let dataset t = t.sv_ds
-let limits t = t.sv_limits
 let admission t = t.sv_adm
 let generation t = Atomic.get t.sv_generation
 
@@ -1462,9 +1459,9 @@ let rec accept_loop t h =
   end
 
 let start t addr =
-  (* kept for API stability: the accept loop now runs on its own domain,
-     but a serving pool sized for a single task has no headroom for the
-     connection handlers it queues *)
+  (* the accept loop runs on its own domain, not on a pool worker; the
+     floor is for the handlers: a serving pool sized for a single task
+     has no headroom for the connections it queues *)
   if Par.jobs t.sv_pool < 2 then
     invalid_arg "Serve.start: the pool needs at least 2 workers (one runs the accept loop)";
   let domain, sockaddr, path =

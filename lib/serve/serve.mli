@@ -10,8 +10,12 @@
 
     - a minimal hand-rolled HTTP/1.1 + JSON protocol over Unix or TCP
       sockets (no external dependencies);
-    - a concurrent accept loop on the existing {!Ds_util.Par} domain
-      pool — one worker runs the listener, the rest handle connections;
+    - an accept loop on its own domain, outside the {!Ds_util.Par}
+      pool: each accepted connection's handler is queued as a pool
+      task, and between selects the loop also runs queued handlers
+      itself ({!Ds_util.Par.drain_one}), so while it is inside one
+      nothing is accepted or shed (the open [FOUND:] line on
+      [accept_loop] in CHANGES.md);
     - one cache per cacheable response, chosen by route:
       {ul
       {- the {e documents} — whole [/v1/surface/<image>] and
@@ -155,21 +159,14 @@ val create :
   t
 (** [images_dir]: serve surfaces (extracted leniently, on demand) for
     every [vmlinux-*] file in the directory, keyed by file name, in
-    addition to the study matrix. The pool must have at least 2 workers
-    when used with {!start} (one runs the accept loop). [limits]
-    defaults to {!default_limits}. *)
-
-val watch : t -> Ds_watch.Watch.t
-(** The server's subscription registry / ingest engine (shares the
-    server's metrics registry and pool). *)
+    addition to the study matrix. {!start} refuses a pool of fewer than
+    2 workers. [limits] defaults to {!default_limits}. *)
 
 val parked_count : t -> int
 (** Long-pollers currently parked (fd held, no worker). Exposed for
     tests. *)
 
 val metrics : t -> Ds_util.Metrics.t
-val dataset : t -> Depsurf.Dataset.t
-val limits : t -> limits
 
 val admission : t -> Admission.t
 (** The admission-control state shared by the accept loop and every
@@ -236,10 +233,12 @@ type addr =
 type handle
 
 val start : t -> addr -> handle
-(** Bind, listen, and submit the accept loop to the pool. Raises
-    [Invalid_argument] on a pool with fewer than 2 workers (the loop
-    would starve the connection handlers), [Unix.Unix_error] on bind
-    failures. *)
+(** Bind, listen, and spawn the accept loop on its own domain. The loop
+    queues each connection's handler on the pool and, between selects,
+    runs queued handlers itself, so handlers progress even with no free
+    worker. Raises [Invalid_argument] on a pool with fewer than 2
+    workers (a pool sized for one task has no headroom for the handlers
+    it queues), [Unix.Unix_error] on bind failures. *)
 
 val bound_addr : handle -> addr
 (** The actual address — with [Tcp (host, 0)] the kernel-chosen port. *)

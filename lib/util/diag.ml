@@ -55,44 +55,53 @@ let outcome ?(diags = []) ok = { ok; diags }
 let ok o = o.ok
 let diags o = o.diags
 
-module Collector = struct
+module Sink = struct
   type diag = t
 
   type t = {
-    mutex : Mutex.t;
-    limit : int;
-    mutable rev : diag list;  (** retained, newest first *)
-    mutable kept : int;
-    mutable total : int;
+    strict : bool;
+    component : string;
+    fail : string -> exn;
+    mutable rev : diag list;  (** newest first *)
+    mutable reported : int;  (** own reports, including those past [limit] *)
   }
 
-  let create ?(limit = 128) () = { mutex = Mutex.create (); limit; rev = []; kept = 0; total = 0 }
+  let limit = 128
 
-  let emit t d =
-    Mutex.lock t.mutex;
-    t.total <- t.total + 1;
-    if t.kept < t.limit then begin
-      t.rev <- d :: t.rev;
-      t.kept <- t.kept + 1
-    end;
-    Mutex.unlock t.mutex
+  let create ?(mode = `Strict) ~component fail =
+    { strict = mode = `Strict; component; fail; rev = []; reported = 0 }
 
-  let count t =
-    Mutex.lock t.mutex;
-    let n = t.total in
-    Mutex.unlock t.mutex;
-    n
+  let raise_in t context msg =
+    raise (t.fail (match context with None -> msg | Some c -> c ^ ": " ^ msg))
+
+  let report t ?context ?offset severity msg =
+    if t.strict then raise_in t context msg;
+    if t.reported < limit then
+      t.rev <- v ?context ?offset severity ~component:t.component msg :: t.rev;
+    t.reported <- t.reported + 1
+
+  let absorb t ds = List.iter (fun d -> t.rev <- d :: t.rev) ds
 
   let diags t =
-    Mutex.lock t.mutex;
     let kept = List.rev t.rev in
-    let dropped = t.total - t.kept in
-    Mutex.unlock t.mutex;
-    if dropped = 0 then kept
+    if t.reported <= limit then kept
     else
       kept
       @ [
           v Warning ~component:"diag"
-            (Printf.sprintf "%d further diagnostics suppressed" dropped);
+            (Printf.sprintf "%d further diagnostics suppressed" (t.reported - limit));
         ]
+
+  let outcome t ok = { ok; diags = diags t }
+
+  type tally = { sink : t; context : string option; mutable skipped : int }
+
+  let tally ?context sink = { sink; context; skipped = 0 }
+
+  let skip tl msg =
+    if tl.sink.strict then raise_in tl.sink tl.context msg;
+    tl.skipped <- tl.skipped + 1
+
+  let close tl summary =
+    if tl.skipped > 0 then report tl.sink ?context:tl.context Degraded (summary tl.skipped)
 end

@@ -1,10 +1,11 @@
 (** Structured diagnostics for best-effort binary ingestion.
 
-    The four binary parsers (ELF, DWARF, BTF, BPF object) can run in two
-    modes: strict (the historical behaviour — raise a typed exception on
-    the first malformed byte) and lenient (extract whatever parses
-    cleanly and describe the rest as a list of diagnostics). A diagnostic
-    records what was lost, where, and how bad it is:
+    The binary parsers (ELF, DWARF, BTF, BPF object, vmlinux tables) run
+    in two modes over one body: strict (raise a typed exception at the
+    first problem) and lenient (extract whatever parses cleanly and
+    describe the rest as a list of diagnostics); see {!mode} and
+    {!Sink}. A diagnostic records what was lost, where, and how bad it
+    is:
 
     - [Fatal]: nothing usable could be extracted from the artifact
       (e.g. not an ELF file at all).
@@ -29,8 +30,8 @@ type t = {
       (** Which parser/stage emitted it: ["elf"], ["btf"], ["dwarf"],
           ["obj"], ["vmlinux"], ["surface"]. *)
   d_context : string option;
-      (** Optional finer location: a section or symbol name, or a tag
-          such as ["Unknown_machine"]. *)
+      (** Optional finer location: a section, table or symbol name such
+          as [".symtab"] or ["sys_call_table"]. *)
   d_offset : int option;  (** Byte offset into the component's input. *)
   d_message : string;
 }
@@ -54,38 +55,67 @@ val exit_code : t list -> int
 (** [0] clean (no diagnostics, or warnings only), [1] fatal, [2] degraded. *)
 
 type mode = [ `Strict | `Lenient ]
-(** Parsing mode shared by every binary parser's unified entrypoint.
-    [`Strict] preserves the historical behaviour: raise the parser's
-    typed exception on the first malformed byte. [`Lenient] extracts
-    whatever parses cleanly and reports the rest as diagnostics. *)
+(** Parsing mode shared by every binary parser's entrypoint. Both modes
+    run the same parser body; they differ only in the {!Sink} that body
+    reports problems to. [`Strict] raises the parser's typed exception
+    at the first problem — the mode for artifacts we wrote ourselves,
+    where a parse failure is a bug. [`Lenient] extracts whatever parses
+    cleanly and reports the rest as diagnostics — the mode for files
+    from outside. *)
 
 type 'a outcome = { ok : 'a; diags : t list }
-(** The shared result shape of the unified [read ?mode] entrypoints:
-    the extracted value plus the diagnostics describing what was lost
-    along the way ([diags = []] in strict mode — strict raises
-    instead of degrading). *)
+(** The shared result shape of the parsers' [?mode] entrypoints: the
+    extracted value plus the diagnostics describing what was lost along
+    the way ([diags = []] in strict mode — strict raises instead of
+    degrading). *)
 
 val outcome : ?diags:t list -> 'a -> 'a outcome
 val ok : 'a outcome -> 'a
 val diags : 'a outcome -> t list
 
-(** A bounded, domain-safe diagnostic sink. Parsers running under
-    [Par] pool workers may share one collector; emission order is
-    preserved and the total is capped (a corrupt 64k-section header
-    table should not produce 64k diagnostics — the tail is summarized
-    by a final suppression notice). *)
-module Collector : sig
+(** Where a parser sends every problem it finds, once. The sink is the
+    one place that decides what a problem costs:
+
+    - lenient: the diagnostic is recorded (at most 128 of a sink's own
+      reports are kept; the tail is summarized by a trailing [Warning]
+      notice, so a corrupt 64k-section header table does not produce
+      64k diagnostics);
+    - strict: the parser's typed exception is raised at once, carrying
+      ["context: message"] (just [message] without a context).
+
+    Parsers report only [Degraded] and [Fatal] problems, so strict
+    raises exactly when lenient would come back degraded or fatal. A
+    sink belongs to one parse on one domain. *)
+module Sink : sig
   type diag = t
   type t
 
-  val create : ?limit:int -> unit -> t
-  (** [limit] (default 128) caps the retained diagnostics. *)
+  val create : ?mode:mode -> component:string -> (string -> exn) -> t
+  (** [mode] defaults to [`Strict]; the function builds the parser's
+      typed exception (e.g. [fun m -> Bad_elf m]). *)
 
-  val emit : t -> diag -> unit
-  val count : t -> int
-  (** Total emitted, including any dropped past the limit. *)
+  val report : t -> ?context:string -> ?offset:int -> severity -> string -> unit
+
+  val absorb : t -> diag list -> unit
+  (** Append a nested parser's diagnostics, in order. They were bounded
+      by the nested sink and do not count against this one's limit; a
+      strict nested parser raises instead, so a strict sink absorbs
+      nothing. *)
 
   val diags : t -> diag list
-  (** Retained diagnostics in emission order, plus a trailing
-      [Warning] notice when any were suppressed. *)
+  val outcome : t -> 'a -> 'a outcome
+
+  type tally
+  (** Items skipped one at a time (symbol records, table slots,
+      compile units), summarized by one diagnostic. *)
+
+  val tally : ?context:string -> t -> tally
+
+  val skip : tally -> string -> unit
+  (** Lenient: count one skipped item. Strict: raise with [message],
+      prefixed by the tally's context. *)
+
+  val close : tally -> (int -> string) -> unit
+  (** When any item was skipped, report one [Degraded] diagnostic (with
+      the tally's context) whose message is built from the count. *)
 end

@@ -62,9 +62,10 @@ val await : 'a future -> 'a
 
 val drain_one : pool -> bool
 (** Pop one queued task and run it on the calling thread; [false] when
-    the queue is empty. Lets a long-lived task that occupies a worker
-    (e.g. a server's accept loop) keep the rest of the queue moving on
-    a small pool instead of starving it. *)
+    the queue is empty. A server's accept loop, which runs on its own
+    domain outside the pool, calls it between selects so queued
+    connection handlers progress even when no worker is free; while it
+    runs one, that loop accepts nothing. *)
 
 val map_list : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map]; results are in input order. The first failing

@@ -12,7 +12,7 @@ let kernel ?(cfg = Config.x86_generic) v =
   match Hashtbl.find_opt kernel_cache key with
   | Some k -> k
   | None ->
-      let k = Vmlinux.load (Testenv.image ~cfg v) in
+      let k = Ds_util.Diag.ok (Vmlinux.load (Testenv.image ~cfg v)) in
       Hashtbl.replace kernel_cache key k;
       k
 

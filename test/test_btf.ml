@@ -120,7 +120,7 @@ let test_env_roundtrip () =
   let env = sample_env () in
   let t = of_env env sample_funcs in
   let t' = Ds_util.Diag.ok (decode (encode t)) in
-  let env', funcs' = to_env ~ptr_size:8 t' in
+  let env', funcs' = Ds_util.Diag.ok (to_env ~ptr_size:8 t') in
   let task = Option.get (Decl.find_struct env' "task_struct") in
   let orig = Option.get (Decl.find_struct env "task_struct") in
   Alcotest.(check bool) "task_struct roundtrips" true (Decl.equal_struct orig task);
@@ -190,7 +190,7 @@ let test_self_referential () =
   let t = of_env env [] in
   (* task_struct.parent is task_struct*; ensure decoding terminates and the
      pointer resolves back to a task_struct reference. *)
-  let env', _ = to_env ~ptr_size:8 (Ds_util.Diag.ok (decode (encode t))) in
+  let env', _ = Ds_util.Diag.ok (to_env ~ptr_size:8 (Ds_util.Diag.ok (decode (encode t)))) in
   let task = Option.get (Decl.find_struct env' "task_struct") in
   let parent = List.find (fun (f : Decl.field) -> f.fname = "parent") task.fields in
   match parent.ftype with

@@ -209,7 +209,7 @@ let test_envelope_shape () =
   (match Json.member "diagnostics" degraded with
   | Some (Json.List [ _ ]) -> ()
   | _ -> Alcotest.fail "envelope must carry the diagnostics list");
-  match Json.member "v" (Api.error ~status:404 "nope") with
+  match Json.member "v" (Api.error_envelope ~status:404 "nope") with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "errors are enveloped too"
 

@@ -25,59 +25,54 @@ let btf_health bytes = Ds_util.Diag.diags (Ds_btf.Btf.decode ~mode:`Lenient byte
 let surface_health bytes = Surface.health (Ds_util.Diag.ok (Surface.extract ~mode:`Lenient bytes))
 let obj_health bytes = Ds_util.Diag.diags (Ds_bpf.Obj.read ~mode:`Lenient bytes)
 
-let no_crash name health bytes =
-  match Faultgen.classify health bytes with
-  | Faultgen.Crashed e -> Alcotest.fail (Printf.sprintf "%s crashed: %s" name e)
-  | Faultgen.Clean | Faultgen.Degraded | Faultgen.Fatal -> ()
-
 (* Flip every bit of the first [limit] bytes and feed each mutant to
-   both modes: lenient must not raise at all, strict must raise only
-   the parser's typed exception (never a bare Invalid_argument or
-   Failure from a raw read). *)
-let sweep_header ~limit ~health ~strict_ok data =
+   both modes: lenient must not raise at all; strict must raise only the
+   parser's typed exception (never a bare Truncated, Invalid_argument or
+   Failure from a raw read), and exactly when lenient reports a Degraded
+   or Fatal diagnostic. *)
+let sweep_header ~limit ~health ~strict ~typed data =
   let limit = min limit (String.length data) in
   for byte = 0 to limit - 1 do
     for bit = 0 to 7 do
       let m = Faultgen.flip_bit data ~byte ~bit in
       let name = Printf.sprintf "flip %d.%d" byte bit in
-      no_crash name health m;
-      match strict_ok m with
-      | () -> ()
+      let degraded =
+        match Faultgen.classify health m with
+        | Faultgen.Crashed e -> Alcotest.failf "%s crashed: %s" name e
+        | Faultgen.Clean -> false
+        | Faultgen.Degraded | Faultgen.Fatal -> true
+      in
+      match strict m with
+      | () -> if degraded then Alcotest.failf "%s: lenient degraded, strict accepted" name
+      | exception e when typed e ->
+          if not degraded then
+            Alcotest.failf "%s: strict raised %s, lenient clean" name (Printexc.to_string e)
       | exception e ->
-          Alcotest.fail
-            (Printf.sprintf "%s: strict raised untyped %s" name (Printexc.to_string e))
+          Alcotest.failf "%s: strict raised untyped %s" name (Printexc.to_string e)
     done
   done
 
 let test_elf_header_sweep () =
-  let data = Lazy.force image_bytes in
-  sweep_header ~limit:64 ~health:elf_health data ~strict_ok:(fun m ->
-      match Elf.read m with
-      | _ -> ()
-      | exception Elf.Bad_elf _ | (exception Bytesio.Truncated _) -> ())
+  sweep_header ~limit:64 ~health:elf_health (Lazy.force image_bytes)
+    ~strict:(fun m -> ignore (Elf.read m))
+    ~typed:(function Elf.Bad_elf _ -> true | _ -> false)
 
 let test_btf_header_sweep () =
-  let data = section ".BTF" in
-  sweep_header ~limit:24 ~health:btf_health data ~strict_ok:(fun m ->
-      match Ds_btf.Btf.decode m with
-      | _ -> ()
-      | exception Ds_btf.Btf.Bad_btf _ | (exception Bytesio.Truncated _) -> ())
+  sweep_header ~limit:24 ~health:btf_health (section ".BTF")
+    ~strict:(fun m -> ignore (Ds_btf.Btf.decode m))
+    ~typed:(function Ds_btf.Btf.Bad_btf _ -> true | _ -> false)
 
 let test_dwarf_header_sweep () =
   let info = section ".debug_info" in
   let abbrev = section ".debug_abbrev" in
+  let typed = function Ds_dwarf.Die.Bad_dwarf _ -> true | _ -> false in
   (* unit header is 11 bytes; sweep past it into the first DIEs *)
-  let sweep_info m = Ds_util.Diag.diags (Ds_dwarf.Info.decode ~mode:`Lenient ~info:m ~abbrev ())
-  and sweep_abbrev m = Ds_util.Diag.diags (Ds_dwarf.Info.decode ~mode:`Lenient ~info ~abbrev:m ()) in
-  let strict_ok decode m =
-    match decode m with
-    | _ -> ()
-    | exception Ds_dwarf.Die.Bad_dwarf _ | (exception Bytesio.Truncated _) -> ()
-  in
-  sweep_header ~limit:32 ~health:sweep_info info
-    ~strict_ok:(strict_ok (fun m -> ignore (Ds_dwarf.Info.decode ~info:m ~abbrev ())));
-  sweep_header ~limit:32 ~health:sweep_abbrev abbrev
-    ~strict_ok:(strict_ok (fun m -> ignore (Ds_dwarf.Info.decode ~info ~abbrev:m ())))
+  sweep_header ~limit:32 info ~typed
+    ~health:(fun m -> Ds_util.Diag.diags (Ds_dwarf.Info.decode ~mode:`Lenient ~info:m ~abbrev ()))
+    ~strict:(fun m -> ignore (Ds_dwarf.Info.decode ~info:m ~abbrev ()));
+  sweep_header ~limit:32 abbrev ~typed
+    ~health:(fun m -> Ds_util.Diag.diags (Ds_dwarf.Info.decode ~mode:`Lenient ~info ~abbrev:m ()))
+    ~strict:(fun m -> ignore (Ds_dwarf.Info.decode ~info ~abbrev:m ()))
 
 (* The full structured corpus (boundary truncations, zeroed/corrupted
    section headers, bogus string-table indices...) through the complete

@@ -93,7 +93,7 @@ let test_kfunc_rules () =
   | Some f -> Alcotest.fail ("kernel-less kfunc rejected: " ^ T.id f.V.fd_rule));
   (* against a real study kernel's BTF, an unknown name is the paper's
      dependency-induced rejection *)
-  let kernel = Ds_bpf.Vmlinux.load (Testenv.image (Ds_ksrc.Version.v 5 4)) in
+  let kernel = Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (Testenv.image (Ds_ksrc.Version.v 5 4))) in
   match
     V.verify_prog ~kernel (mkprog ~kfuncs:[ "no_such_kfunc_xyz" ] Insn.[ Kfunc_call 0; Exit ])
   with

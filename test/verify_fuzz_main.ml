@@ -56,7 +56,8 @@ let () =
   (* whole-object campaigns: the loader + verifier pipeline end to end,
      name-checked against the v5.4 study kernel's BTF *)
   let kernel =
-    Ds_bpf.Vmlinux.load (Depsurf.Dataset.image ds (Version.v 5 4) Config.x86_generic)
+    Ds_util.Diag.ok
+      (Ds_bpf.Vmlinux.load (Depsurf.Dataset.image ds (Version.v 5 4) Config.x86_generic))
   in
   List.iter
     (fun (profile, obj) ->
