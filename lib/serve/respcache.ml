@@ -71,8 +71,6 @@ let lookup t key =
       push_front t n;
       Some n.n_entry
 
-let find t key = Mutex.protect t.c_mutex (fun () -> lookup t key)
-
 let evict_tail t =
   match t.c_tail with
   | None -> false
@@ -107,8 +105,6 @@ let insert t key entry =
     done;
     !evicted
   end
-
-let add t key entry = Mutex.protect t.c_mutex (fun () -> insert t key entry)
 
 let result = function Ok e -> e | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
 

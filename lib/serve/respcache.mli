@@ -4,7 +4,7 @@
     the strong ETag computed over them when the entry was filled, so the
     request skips the Export → JSON → envelope pipeline entirely. The
     {e caller} builds keys — [Serve] keys on (endpoint segments,
-    effective params, body digest, index generation), so bumping the
+    effective params, body digest, generation), so bumping the
     generation makes every older entry unreachable; stale entries then
     age out through the LRU. Thread-safe (one mutex; all operations are
     O(1) plus hashing). {!find_or_fill} is single-flight: concurrent
@@ -24,22 +24,16 @@ val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
     accounting). Eviction is strictly LRU, driven by whichever cap is
     exceeded. Raises [Invalid_argument] on non-positive caps. *)
 
-val find : t -> string -> entry option
-(** Lookup; a hit moves the entry to the most-recently-used position. *)
-
-val add : t -> string -> entry -> int
-(** Insert (replacing any entry under the same key) and evict from the
-    LRU tail until both caps hold again; returns the number of entries
-    evicted. An entry larger than the byte cap is not stored (returns
-    0). *)
-
 val find_or_fill :
   t -> string -> (unit -> entry) -> [ `Hit of entry | `Miss of entry * int ]
-(** {!find}, or on a miss run [fill] and {!add} its result when its
-    status is 200. Concurrent misses on the same key wait for the one
-    fill in flight and share its result (or its exception, after which
-    the next request retries). [`Miss (e, evicted)] counts the entries
-    this call's insert evicted. *)
+(** Lookup; a hit moves the entry to the most-recently-used position.
+    On a miss run [fill] and, when its status is 200, insert the result
+    and evict from the LRU tail until both caps hold again; an entry
+    larger than the byte cap is not stored. Concurrent misses on the
+    same key wait for the one fill in flight and share its result (or
+    its exception, after which the next request retries).
+    [`Miss (e, evicted)] counts the entries this call's insert
+    evicted. *)
 
 val stats : t -> int * int
 (** [(entries, bytes)] currently cached. *)

@@ -55,13 +55,10 @@ type t = {
   sv_limits : limits;
   sv_adm : Admission.t;  (** accepted-connection bookkeeping + shedding *)
   sv_files : (string * string) list;  (** extra image name -> path *)
-  sv_cache : Respcache.t;  (** every cacheable answer but the documents, LRU-bounded *)
+  sv_cache : Respcache.t;  (** every cacheable answer, LRU-bounded *)
   sv_generation : int Atomic.t;  (** part of every cache key; bump to invalidate *)
   sv_store_gen : int Atomic.t;  (** last-seen store maintenance generation *)
   sv_store_checked : float Atomic.t;  (** last revalidation poll (gettimeofday) *)
-  (* the documents: keyed by validated image names only, so finite *)
-  ix_surface : (string, Respcache.entry) Par.Memo.t;  (** image name -> document + ETag *)
-  ix_diff : (string, Respcache.entry) Par.Memo.t;  (** "a|b" -> document + ETag *)
   ix_file_surface : (string, Surface.t) Par.Memo.t;  (** lenient extracts *)
   sv_watch : Watch.t;  (** subscriptions + delta ingest + events *)
   sv_parked : parked list ref;  (** long-pollers waiting for events, fd ownership here *)
@@ -119,8 +116,6 @@ let create ?images_dir ?limits ~ds ~pool () =
         | None -> 0
         | Some s -> Store.maintenance_generation ~dir:(Store.dir s));
     sv_store_checked = Atomic.make (Unix.gettimeofday ());
-    ix_surface = Par.Memo.create 64;
-    ix_diff = Par.Memo.create 64;
     ix_file_surface = Par.Memo.create 16;
     sv_watch = Watch.create ~pool ~metrics ds;
     sv_parked = ref [];
@@ -201,10 +196,12 @@ type reply = int * string * string * (string * string) option
 
 let plain (status, ctype, body) : reply = (status, ctype, body, None)
 
-(* a rendered answer as either cache holds it: a 200's ETag is hashed
+(* a rendered answer as the cache holds it: a 200's ETag is hashed
    once, here, at fill *)
 let entry (status, ctype, body) =
-  let e_etag = if status = 200 then etag_of_body body else "" in
+  let e_etag =
+    if status = 200 then Trace.span ~name:"serve.etag" (fun () -> etag_of_body body) else ""
+  in
   { Respcache.e_status = status; e_ctype = ctype; e_body = body; e_etag }
 
 let cached (e : Respcache.entry) state : reply =
@@ -221,38 +218,6 @@ let scale_label ds =
   else if Dataset.scale ds = Calibration.test_scale then "test"
   else "custom"
 
-(* ---- documents ----------------------------------------------------- *)
-
-(* A dataset document (a whole surface or a pairwise diff): rendered and
-   ETag-hashed once per key, then held for the life of the process — the
-   key space is the validated image names, and a document is too big and
-   too costly to re-render to live in the LRU. [Par.Memo] is the
-   single-flight guarantee: "index.fill.<kind>" advances exactly once per
-   key no matter how many requests race on it. *)
-let document t memo kind key render =
-  match Par.Memo.find_opt memo key with
-  | Some e ->
-      Metrics.incr t.sv_metrics ("index.hit." ^ kind);
-      cached e "hit"
-  | None ->
-      let fill () =
-        (* cooperative budget check before the expensive fill: an
-           already-over-deadline request gives its worker back here *)
-        Deadline.check ();
-        Metrics.incr t.sv_metrics ("index.fill." ^ kind);
-        let body = Trace.span ~name:"serve.render" render in
-        let e_etag = Trace.span ~name:"serve.etag" (fun () -> etag_of_body body) in
-        { Respcache.e_status = 200; e_ctype = "application/json"; e_body = body; e_etag }
-      in
-      cached (Par.Memo.find_or_compute memo key fill) "miss"
-
-let index_json t =
-  Json.Obj
-    [
-      ("surfaces", Json.Int (Par.Memo.length t.ix_surface));
-      ("diffs", Json.Int (Par.Memo.length t.ix_diff));
-    ]
-
 (* ---- endpoints ----------------------------------------------------- *)
 
 let healthz t =
@@ -263,7 +228,6 @@ let healthz t =
          ("status", Json.String "ok");
          ("scale", Json.String (scale_label t.sv_ds));
          ("images", Json.Int (List.length Dataset.study_images + List.length t.sv_files));
-         ("index", index_json t);
        ])
 
 let images t =
@@ -293,21 +257,16 @@ let construct_entry s kind name =
 (* /surface/<image> without kind= and name= is the whole document *)
 let whole_surface query = not (List.mem_assoc "kind" query || List.mem_assoc "name" query)
 
-let surface_document t name =
-  match find_source t name with
-  | None -> plain (error_json 404 ("unknown image: " ^ name))
-  | Some src ->
-      document t t.ix_surface "surface" name (fun () ->
-          Metrics.incr t.sv_metrics "compute.surface";
-          let s = surface_of_source t name src in
-          json_body (Api.of_diags ~data:(Export.surface_with_health s) (Surface.health s)))
-
-(* one construct of a surface: ?kind=&name= *)
+(* the whole surface document, or one construct of it: ?kind=&name= *)
 let surface_endpoint t name query =
   match find_source t name with
   | None -> error_json 404 ("unknown image: " ^ name)
   | Some src -> (
       match (List.assoc_opt "kind" query, List.assoc_opt "name" query) with
+      | None, None ->
+          Metrics.incr t.sv_metrics "compute.surface";
+          let s = surface_of_source t name src in
+          ok_json (Api.of_diags ~data:(Export.surface_with_health s) (Surface.health s))
       | Some kind, Some cname -> (
           if not (List.mem kind [ "func"; "struct"; "tracepoint"; "syscall" ]) then
             error_json 400 ("unknown kind: " ^ kind ^ " (func|struct|tracepoint|syscall)")
@@ -330,38 +289,35 @@ let surface_endpoint t name query =
                      (Surface.health s)))
       | _ -> error_json 400 "kind= and name= must be given together")
 
-let diff_document t a b =
+let diff_endpoint t a b =
   match (image_of_name a, image_of_name b) with
-  | None, _ -> plain (error_json 404 ("unknown image: " ^ a))
-  | _, None -> plain (error_json 404 ("unknown image: " ^ b))
+  | None, _ -> error_json 404 ("unknown image: " ^ a)
+  | _, None -> error_json 404 ("unknown image: " ^ b)
   | Some (va, ca), Some (vb, cb) ->
-      document t t.ix_diff "diff" (a ^ "|" ^ b) (fun () ->
-          let sa = Dataset.surface t.sv_ds va ca in
-          let sb = Dataset.surface t.sv_ds vb cb in
-          let mode =
-            if Version.equal va vb then Diff.Across_configs else Diff.Across_versions
-          in
-          (* persistent tier: arbitrary pairs are store artifacts too,
-             so a restarted server re-hydrates instead of re-diffing *)
-          let d =
-            Store.memo (Dataset.store t.sv_ds) ~ns:"diff"
-              ~key:(Dataset.cache_key t.sv_ds ~label:"pair-diff" [ a; b ])
-              ~encode:Codec.encode_diff ~decode:Codec.decode_diff
-              (fun () ->
-                Metrics.incr t.sv_metrics "compute.diff";
-                Diff.compare_surfaces mode sa sb)
-          in
-          let fields = match Export.diff d with Json.Obj fs -> fs | _ -> [] in
-          json_body
-            (Api.envelope
-            @@ Json.Obj
-                 (("from", Json.String a) :: ("to", Json.String b)
-                 :: ( "mode",
-                      Json.String
-                        (match mode with
-                        | Diff.Across_versions -> "across_versions"
-                        | Diff.Across_configs -> "across_configs") )
-                 :: fields)))
+      let sa = Dataset.surface t.sv_ds va ca in
+      let sb = Dataset.surface t.sv_ds vb cb in
+      let mode = if Version.equal va vb then Diff.Across_configs else Diff.Across_versions in
+      (* persistent tier: arbitrary pairs are store artifacts too,
+         so a restarted server re-hydrates instead of re-diffing *)
+      let d =
+        Store.memo (Dataset.store t.sv_ds) ~ns:"diff"
+          ~key:(Dataset.cache_key t.sv_ds ~label:"pair-diff" [ a; b ])
+          ~encode:Codec.encode_diff ~decode:Codec.decode_diff
+          (fun () ->
+            Metrics.incr t.sv_metrics "compute.diff";
+            Diff.compare_surfaces mode sa sb)
+      in
+      let fields = match Export.diff d with Json.Obj fs -> fs | _ -> [] in
+      ok_json
+        (Api.envelope
+        @@ Json.Obj
+             (("from", Json.String a) :: ("to", Json.String b)
+             :: ( "mode",
+                  Json.String
+                    (match mode with
+                    | Diff.Across_versions -> "across_versions"
+                    | Diff.Across_configs -> "across_configs") )
+             :: fields))
 
 (* ---- /graph/* ------------------------------------------------------ *)
 
@@ -516,7 +472,6 @@ let metrics_endpoint t =
        (("requests_total", Json.Int (Metrics.counter t.sv_metrics "requests_total"))
        :: ("compiles", Json.Int (Dataset.compile_count t.sv_ds))
        :: ("store", store_json)
-       :: ("index", index_json t)
        :: ( "response_cache",
             Json.Obj
               [
@@ -753,13 +708,11 @@ let inject_trace root_id body =
         (Json.Obj (fields @ [ ("trace", Json.List (List.map Trace.span_json sps)) ]))
   | _ -> body
 
-(* How a route's answer is held. Each cacheable answer lives in exactly
-   one cache: a [Document] in its single-flight memo (the handler owns
-   the lookup), a [Cached] answer in the Respcache under [params] and the
-   body [digest]; a [Live] answer reports live state and is never held. *)
+(* How a route's answer is held: a [Cached] answer in the Respcache
+   under [params] and the body [digest]; a [Live] answer reports live
+   state and is never held. *)
 type tier =
   | Live of (unit -> int * string * string)
-  | Document of (unit -> reply)
   | Cached of {
       params : (string * string) list;
       digest : string Lazy.t option;
@@ -774,6 +727,11 @@ type tier =
    through untouched. *)
 let route t ~meth ~segs ~query ~body =
   let cached fill = Cached { params = query; digest = None; fill } in
+  (* a whole surface or diff: its handler reads no param, so the path
+     segments alone key it, and no query string can render it twice *)
+  let document fill =
+    Cached { params = []; digest = None; fill = (fun () -> Trace.span ~name:"serve.render" fill) }
+  in
   let not_allowed msg = Live (fun () -> error_json 405 msg) in
   let get tier = if meth = "GET" then tier else not_allowed ("method not allowed: " ^ meth) in
   let post ?(cache = false) msg handler =
@@ -794,10 +752,10 @@ let route t ~meth ~segs ~query ~body =
   match segs with
   | [ "healthz" ] -> Some (get (Live (fun () -> healthz t)))
   | [ "images" ] -> Some (get (cached (fun () -> images t)))
-  | [ "surface"; name ] when whole_surface query ->
-      Some (get (Document (fun () -> surface_document t name)))
-  | [ "surface"; name ] -> Some (get (cached (fun () -> surface_endpoint t name query)))
-  | [ "diff"; a; b ] -> Some (get (Document (fun () -> diff_document t a b)))
+  | [ "surface"; name ] ->
+      let fill () = surface_endpoint t name query in
+      Some (get (if whole_surface query then document fill else cached fill))
+  | [ "diff"; a; b ] -> Some (get (document (fun () -> diff_endpoint t a b)))
   | [ "graph"; (("deps" | "rdeps") as dir); sym ] ->
       let dir = if dir = "deps" then `Deps else `Rdeps in
       Some (get (cached (fun () -> graph_query_endpoint t dir sym query)))
@@ -830,29 +788,27 @@ let route t ~meth ~segs ~query ~body =
 
 (* The Respcache key: generation, segments, the effective params (the
    first binding of each name, which is the one handlers read, sorted so
-   order does not matter) and the body digest. Every part is
-   length-prefixed, so no decoded segment or value can spell another
-   request's key. *)
+   order does not matter; [trace] is read by [handle_request], never by
+   a handler) and the body digest. Every part is length-prefixed, so no
+   decoded segment or value can spell another request's key. *)
 let cache_key t ~segs ~params ~digest =
   let part s = string_of_int (String.length s) ^ ":" ^ s in
   let effective =
-    List.fold_left (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc) [] params
+    List.fold_left
+      (fun acc (k, v) -> if k = "trace" || List.mem_assoc k acc then acc else (k, v) :: acc)
+      [] params
   in
   String.concat ""
     (List.map part (string_of_int (Atomic.get t.sv_generation) :: segs)
     @ ("?" :: List.concat_map (fun (k, v) -> [ part k; part v ]) (List.sort compare effective))
     @ match digest with Some d -> [ "#"; part (Lazy.force d) ] | None -> [])
 
-(* answer one routed request from its tier; only 200s enter a cache *)
-let answer t ~segs ~traced tier : reply =
+(* answer one routed request from its tier; only 200s enter the cache *)
+let answer t ~segs tier : reply =
   match tier with
-  | Document render -> render ()
   | Live f ->
       Deadline.check ();
       plain (f ())
-  | Cached { fill; _ } when traced ->
-      Deadline.check ();
-      plain (fill ())
   | Cached { params; digest; fill } -> (
       (* external store maintenance must not leave stale bytes in the
          response cache — cheap throttled poll, see [revalidate_store] *)
@@ -920,7 +876,7 @@ let handle_request ?(headers = []) ?pressure t ~meth ~target ~body =
           (* the per-request compute budget; Par.submit carries it onto
              any pool fan-out the handler performs *)
           Deadline.with_timeout ~label:"serve.handle" t.sv_limits.li_handle_deadline_s
-          @@ fun () -> answer t ~segs ~traced tier
+          @@ fun () -> answer t ~segs tier
         with
         | Deadline.Expired (_, over) ->
             (* the handler ran out of its budget: overload, not a bug —

@@ -16,24 +16,20 @@
       itself ({!Ds_util.Par.drain_one}), so while it is inside one
       nothing is accepted or shed (the open [FOUND:] line on
       [accept_loop] in CHANGES.md);
-    - one cache per cacheable response, chosen by route:
-      {ul
-      {- the {e documents} — whole [/v1/surface/<image>] and
-         [/v1/diff/<a>/<b>] bodies, a finite set derived from the
-         dataset — live in per-kind memos ({!Ds_util.Par.Memo}) hydrated
-         lazily through the dataset's memo tables and the {!Ds_store}
-         persistent tier; each is rendered and ETag-hashed once;}
-      {- every other cacheable answer ([/v1/images], construct lookups,
-         [/v1/graph/...], [POST /v1/mismatch], [POST /v1/verify]) lives
-         only in the bounded {e response-byte cache} ({!Respcache}),
-         keyed by (endpoint, effective params — the first binding of
-         each name, sorted — body digest, generation),
-         so a warm hit skips Export → JSON → envelope entirely and client
-         input can never grow server memory past the LRU's caps.}}
-      Both tiers are single-flight: concurrent requests for the same
-      uncached answer coalesce into one computation. Every cacheable
-      response carries a strong [ETag] (content digest over the body)
-      and an [x-depsurf-cache: hit|miss] header, and a matching
+    - one bounded {e response-byte cache} ({!Respcache}) for every
+      cacheable answer: the whole [/v1/surface/<image>] and
+      [/v1/diff/<a>/<b>] documents (hydrated through the dataset's memo
+      tables and the {!Ds_store} persistent tier), [/v1/images],
+      construct lookups, [/v1/graph/...], [POST /v1/mismatch] and
+      [POST /v1/verify]. It is keyed by (endpoint, effective params —
+      the first binding of each name but [trace], sorted; none for a
+      whole document — body digest, generation), so a warm hit skips
+      Export → JSON → envelope entirely and client input can never grow
+      server memory past the LRU's caps. Fills are single-flight:
+      concurrent requests for the same uncached answer coalesce into one
+      computation. Every cacheable response carries a strong [ETag]
+      (content digest over the body, hashed once at fill) and an
+      [x-depsurf-cache: hit|miss] header, and a matching
       [If-None-Match] answers [304 Not Modified] with an empty body;
     - per-endpoint metrics ({!Ds_util.Metrics}): request counters,
       error counters, cache hit/miss/evict counters, and latency
@@ -42,7 +38,7 @@
     Endpoints (all under [/v1/...]; an unprefixed path answers a 404
     envelope pointing at its [/v1] spelling):
 
-    - [GET /v1/healthz] — liveness + index occupancy;
+    - [GET /v1/healthz] — liveness, dataset scale and image count;
     - [GET /v1/images] — every queryable image (study matrix + extra
       on-disk images);
     - [GET /v1/surface/<image>] — a full surface document, health
@@ -77,7 +73,7 @@
       response cache and [If-None-Match] answers 304 — and so are
       [/v1/mismatch] answers, by (params, body digest);
     - [GET /v1/metrics] — counters, latency histograms, store counters,
-      compile count and index sizes;
+      compile count and response-cache occupancy;
     - [GET /v1/trace/recent] — most recently finished tracing spans
       ([?limit=N], default 100) plus the ring-drop counter;
     - [POST /v1/subscriptions] — register a watch subscription: a JSON
@@ -115,19 +111,21 @@
 
     {b Unprefixed paths.} The unprefixed aliases of the [/v1] routes are
     retired: any path outside [/v1] answers 404 with a pointer to the
-    [/v1] spelling, before either cache is consulted.
+    [/v1] spelling, before the cache is consulted.
 
     Every JSON response is wrapped in the versioned {!Depsurf.Api}
     envelope [{v; health; data; diagnostics}]. Every response carries an
     [x-depsurf-trace] header with the id of the request's
     ["serve.request"] span, and [?trace=1] on any JSON endpoint inlines
     that request's finished descendant spans under a ["trace"] member of
-    the (enveloped) body. *)
+    the (enveloped) body; such a request is answered from the cache like
+    any other, but its body is no longer the cached representation, so
+    it carries no [ETag]. *)
 
 open Ds_ksrc
 
 type t
-(** Server state: dataset + document memos + response cache + metrics.
+(** Server state: dataset + response cache + metrics.
     Independent of any socket, so tests can drive {!handle_request}
     directly. *)
 
@@ -178,12 +176,10 @@ val generation : t -> int
 
 val invalidate : t -> unit
 (** Bump the generation: every {!Respcache} response stops matching,
-    and the next request for each key re-renders and re-caches (the
-    ETag is a content digest, so it changes only if the bytes do).
-    The documents are pure functions of the dataset, which nothing
-    mutates after {!create}, so their memos are unaffected. Dataset
-    mutations must call this; today it is driven by tests and
-    {!revalidate_store}. *)
+    the whole surface and diff documents included, and the next request
+    for each key re-renders and re-caches (the ETag is a content digest,
+    so it changes only if the bytes do). Dataset mutations must call
+    this; today it is driven by tests and {!revalidate_store}. *)
 
 val revalidate_store : t -> unit
 (** Compare the dataset store's persisted maintenance generation

@@ -1,4 +1,4 @@
-(* The query server: routing, the hot index's single-flight guarantee,
+(* The query server: routing, the response cache's single-flight guarantee,
    /mismatch byte-identity with the CLI report path, and the socket
    front-end (Unix + TCP) with its minimal client. Sockets stay inside
    this process — the cross-process end-to-end lives in
@@ -110,14 +110,15 @@ let test_single_flight () =
         rest
   | [] -> Alcotest.fail "no responses");
   let m = Serve.metrics t in
-  Alcotest.(check int) "one index fill" 1 (Metrics.counter m "index.fill.surface");
+  Alcotest.(check int) "eight response-cache lookups" 8
+    (Metrics.counter m "cache.hit" + Metrics.counter m "cache.miss");
   Alcotest.(check int) "one surface render" 1 (Metrics.counter m "compute.surface");
-  (* a second wave is all index hits; ?trace=1 bypasses the response-byte
-     cache, so this request must reach the hot index *)
-  let hits0 = Metrics.counter m "index.hit.surface" in
+  (* a later request is a cache hit; ?trace=1 is answered from the cache
+     like any other request *)
+  let hits0 = Metrics.counter m "cache.hit" in
   let _ = get t "/v1/surface/4.8-x86-generic?trace=1" in
-  Alcotest.(check int) "warm hit" (hits0 + 1) (Metrics.counter m "index.hit.surface");
-  Alcotest.(check int) "still one fill" 1 (Metrics.counter m "index.fill.surface")
+  Alcotest.(check int) "warm hit" (hits0 + 1) (Metrics.counter m "cache.hit");
+  Alcotest.(check int) "still one render" 1 (Metrics.counter m "compute.surface")
 
 (* a served document is the compact rendering of its tree plus one
    newline, and its ETag is the hash of exactly those bytes *)
@@ -133,7 +134,7 @@ let test_document_bytes_and_etag () =
     (List.assoc_opt "ETag" hdrs)
 
 (* a document fill runs one serve.render and one serve.etag span under
-   its serve.request; a memo hit runs neither *)
+   its serve.request; a cache hit runs neither *)
 let test_document_fill_spans () =
   with_server @@ fun t _ ->
   let count target =
@@ -155,7 +156,7 @@ let test_document_fill_spans () =
   in
   let target = "/v1/surface/4.15-x86-generic?trace=1" in
   Alcotest.(check (pair int int)) "fill: one render, one etag" (1, 1) (count target);
-  Alcotest.(check (pair int int)) "memo hit: none" (0, 0) (count target)
+  Alcotest.(check (pair int int)) "cache hit: none" (0, 0) (count target)
 
 (* ---- /mismatch ------------------------------------------------------ *)
 
@@ -272,7 +273,11 @@ let test_metrics_document () =
   | Some (Json.Int n) -> Alcotest.(check bool) "requests counted" true (n >= 3)
   | _ -> Alcotest.fail "no requests_total");
   Alcotest.(check bool) "compiles exposed" true (Json.member "compiles" j <> None);
-  Alcotest.(check bool) "index sizes exposed" true (Json.member "index" j <> None);
+  (match Json.member "response_cache" j with
+  | Some rc ->
+      Alcotest.(check bool) "the diff document is cached" true
+        (Json.member "entries" rc = Some (Json.Int 1))
+  | None -> Alcotest.fail "no response_cache");
   match Json.member "latency_ms" j with
   | Some (Json.Obj labels) ->
       Alcotest.(check bool) "diff latency histogram" true (List.mem_assoc "/diff" labels)
@@ -454,10 +459,9 @@ let response_cache_stats t =
       | _ -> Alcotest.fail "response_cache lacks entries/bytes")
   | _ -> Alcotest.fail "/v1/metrics lacks response_cache"
 
-(* one cache per response: a whole surface comes from its document memo
-   and never enters the response cache; /v1/images lives only there.
-   Either way the second answer is a byte-identical hit with the same
-   ETag. *)
+(* one response cache: a whole surface document and /v1/images each
+   take one entry, and the second answer is a byte-identical hit with
+   the same ETag *)
 let test_response_cache_hit_identity () =
   with_server @@ fun t _ ->
   let m = Serve.metrics t in
@@ -473,14 +477,13 @@ let test_response_cache_hit_identity () =
     Alcotest.(check bool) "stable etag" true (etag_of h1 <> None && etag_of h1 = etag_of h2)
   in
   check_identity "/v1/surface/4.4-x86-generic";
-  Alcotest.(check (pair int int)) "documents stay out of the response cache" (0, 0)
-    (response_cache_stats t);
-  Alcotest.(check int) "no response-cache lookups for documents" 0
-    (Metrics.counter m "cache.hit" + Metrics.counter m "cache.miss");
+  Alcotest.(check int) "the document takes one entry" 1 (fst (response_cache_stats t));
+  Alcotest.(check int) "document miss counted" 1 (Metrics.counter m "cache.miss");
+  Alcotest.(check int) "document hit counted" 1 (Metrics.counter m "cache.hit");
   check_identity "/v1/images";
-  Alcotest.(check int) "one response-cache entry" 1 (fst (response_cache_stats t));
-  Alcotest.(check int) "miss counted" 1 (Metrics.counter m "cache.miss");
-  Alcotest.(check int) "hit counted" 1 (Metrics.counter m "cache.hit")
+  Alcotest.(check int) "two response-cache entries" 2 (fst (response_cache_stats t));
+  Alcotest.(check int) "miss counted" 2 (Metrics.counter m "cache.miss");
+  Alcotest.(check int) "hit counted" 2 (Metrics.counter m "cache.hit")
 
 let test_conditional_requests () =
   with_server @@ fun t _ ->
@@ -519,19 +522,35 @@ let test_conditional_requests () =
 
 let test_generation_invalidates () =
   with_server @@ fun t _ ->
-  let _, _, h1, b1 = get4 t "/v1/images" in
-  Alcotest.(check (option string)) "cold miss" (Some "miss") (cache_state h1);
-  let _, _, h2, _ = get4 t "/v1/images" in
-  Alcotest.(check (option string)) "warm hit" (Some "hit") (cache_state h2);
+  let m = Serve.metrics t in
+  let targets = [ "/v1/images"; "/v1/surface/4.4-x86-generic" ] in
+  let before =
+    List.map
+      (fun target ->
+        let _, _, h1, b1 = get4 t target in
+        Alcotest.(check (option string)) (target ^ " cold miss") (Some "miss") (cache_state h1);
+        let _, _, h2, _ = get4 t target in
+        Alcotest.(check (option string)) (target ^ " warm hit") (Some "hit") (cache_state h2);
+        (h1, b1))
+      targets
+  in
+  let renders0 = Metrics.counter m "compute.surface" in
   let gen0 = Serve.generation t in
   Serve.invalidate t;
   Alcotest.(check int) "generation bumped" (gen0 + 1) (Serve.generation t);
-  let _, _, h3, b3 = get4 t "/v1/images" in
-  Alcotest.(check (option string)) "invalidated -> miss" (Some "miss") (cache_state h3);
-  (* the index itself did not change, so the re-rendered bytes — and
-     therefore the content-digest ETag — are unchanged *)
-  Alcotest.(check string) "re-rendered body identical" b1 b3;
-  Alcotest.(check bool) "etag stable across generations" true (etag_of h1 = etag_of h3)
+  List.iter2
+    (fun target (h1, b1) ->
+      let _, _, h3, b3 = get4 t target in
+      Alcotest.(check (option string)) (target ^ " invalidated -> miss") (Some "miss")
+        (cache_state h3);
+      (* the dataset itself did not change, so the re-rendered bytes —
+         and therefore the content-digest ETag — are unchanged *)
+      Alcotest.(check string) (target ^ " re-rendered body identical") b1 b3;
+      Alcotest.(check bool) (target ^ " etag stable across generations") true
+        (etag_of h1 = etag_of h3))
+    targets before;
+  Alcotest.(check int) "the document re-rendered once" (renders0 + 1)
+    (Metrics.counter m "compute.surface")
 
 let test_cache_scope () =
   with_server @@ fun t _ ->
@@ -540,9 +559,22 @@ let test_cache_scope () =
   Alcotest.(check (option string)) "healthz uncached" None (cache_state h);
   let _, _, h, _ = get4 t "/v1/metrics" in
   Alcotest.(check (option string)) "metrics uncached" None (cache_state h);
-  (* ?trace=1 bypasses the cache: the trace member is per-request *)
+  (* ?trace=1 carries no cache headers: the trace member is per-request *)
   let _, _, h, _ = get4 t "/v1/images?trace=1" in
   Alcotest.(check (option string)) "trace=1 uncached" None (cache_state h);
+  (* a whole document is keyed on its path alone: neither ?trace=1 nor a
+     param no handler reads renders it again or adds an entry *)
+  let doc = "/v1/surface/4.4-x86-generic" in
+  let _ = get4 t doc in
+  let m = Serve.metrics t in
+  let state () = (fst (response_cache_stats t), Metrics.counter m "compute.surface") in
+  let state0 = state () in
+  List.iter
+    (fun q ->
+      let st, _, _, _ = get4 t (doc ^ q) in
+      Alcotest.(check int) (q ^ " 200") 200 st;
+      Alcotest.(check (pair int int)) (q ^ ": entries and renders unchanged") state0 (state ()))
+    [ "?trace=1"; "?junk=1" ];
   (* errors are not cached either *)
   let _, _, h, _ = get4 t "/v1/surface/9.9-x86-generic" in
   let first = cache_state h in
@@ -553,24 +585,35 @@ let test_cache_scope () =
 let test_respcache_lru () =
   let module R = Ds_serve.Respcache in
   let e body = R.{ e_status = 200; e_ctype = "t"; e_body = body; e_etag = "\"x\"" } in
+  (* a miss fills and reports its evictions; a hit must not fill *)
+  let add c key entry =
+    match R.find_or_fill c key (fun () -> entry) with
+    | `Miss (_, evicted) -> evicted
+    | `Hit _ -> Alcotest.fail (key ^ ": expected a miss")
+  in
+  let present c key =
+    match R.find_or_fill c key (fun () -> { (e "") with R.e_status = 404 }) with
+    | `Hit _ -> true
+    | `Miss _ -> false
+  in
   let c = R.create ~max_entries:2 () in
-  Alcotest.(check int) "no eviction" 0 (R.add c "a" (e "1"));
-  Alcotest.(check int) "no eviction" 0 (R.add c "b" (e "2"));
+  Alcotest.(check int) "no eviction" 0 (add c "a" (e "1"));
+  Alcotest.(check int) "no eviction" 0 (add c "b" (e "2"));
   (* touch a so b is the LRU tail *)
-  Alcotest.(check bool) "a present" true (R.find c "a" <> None);
-  Alcotest.(check int) "one eviction" 1 (R.add c "c" (e "3"));
-  Alcotest.(check bool) "b evicted" true (R.find c "b" = None);
-  Alcotest.(check bool) "a survives" true (R.find c "a" <> None);
-  Alcotest.(check bool) "c present" true (R.find c "c" <> None);
+  Alcotest.(check bool) "a present" true (present c "a");
+  Alcotest.(check int) "one eviction" 1 (add c "c" (e "3"));
+  Alcotest.(check bool) "b evicted" false (present c "b");
+  Alcotest.(check bool) "a survives" true (present c "a");
+  Alcotest.(check bool) "c present" true (present c "c");
   (* byte-cap eviction: each entry is body + overhead, so a small cap
      admits only the newest entry *)
   let c = R.create ~max_bytes:400 () in
-  ignore (R.add c "a" (e (String.make 200 'x')));
-  Alcotest.(check int) "byte cap evicts" 1 (R.add c "b" (e (String.make 200 'y')));
-  Alcotest.(check bool) "newest kept" true (R.find c "b" <> None);
+  ignore (add c "a" (e (String.make 200 'x')));
+  Alcotest.(check int) "byte cap evicts" 1 (add c "b" (e (String.make 200 'y')));
+  Alcotest.(check bool) "newest kept" true (present c "b");
   (* an entry larger than the whole cap is refused outright *)
   let c = R.create ~max_bytes:100 () in
-  Alcotest.(check int) "oversized refused" 0 (R.add c "big" (e (String.make 500 'z')));
+  Alcotest.(check int) "oversized refused" 0 (add c "big" (e (String.make 500 'z')));
   Alcotest.(check (pair int int)) "nothing stored" (0, 0) (R.stats c)
 
 (* ---- /graph/* -------------------------------------------------------- *)
