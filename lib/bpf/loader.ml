@@ -169,39 +169,35 @@ let attach kernel (prog : Obj.prog) =
                          { prog = name; hook; reason = "syscall unavailable on this kernel" })
               | None -> Ok (hook, []))))
 
-(* kfunc resolution: every Kfunc_call's name must exist in the target
-   kernel's BTF — the verifier's kfunc registry check (paper §4.1). *)
-let resolve_kfuncs kernel (prog : Obj.prog) =
-  let rec check i = function
+(* The checks a program passes before relocation: the verifier, then
+   kfunc resolution — every Kfunc_call must index the kfunc table and,
+   against a kernel, name a function in its BTF (the verifier's kfunc
+   registry check, paper §4.1). *)
+let check_prog ?kernel (prog : Obj.prog) =
+  let reject rj_rule rj_insn rj_msg =
+    Error { Verifier.rj_rule; rj_insn; rj_msg; rj_regs = None; rj_trail = [] }
+  in
+  let rec kfuncs i = function
     | [] -> Ok ()
     | Insn.Kfunc_call idx :: rest -> (
-        match List.nth_opt prog.Obj.p_kfuncs idx with
-        | None ->
-            Error
-              (Verifier_error
-                 { prog = prog.Obj.p_name; insn = i; msg = "kfunc index out of range" })
-        | Some name ->
-            if Btf.find_func kernel.Vmlinux.v_btf name <> None then check (i + 1) rest
-            else
-              Error
-                (Verifier_error
-                   {
-                     prog = prog.Obj.p_name;
-                     insn = i;
-                     msg = Printf.sprintf "calling kernel function %s is not allowed" name;
-                   }))
-    | _ :: rest -> check (i + 1) rest
+        (* [nth_opt] raises on a negative index; a decoded imm can be one *)
+        match if idx < 0 then None else List.nth_opt prog.Obj.p_kfuncs idx with
+        | None -> reject Verifier.Kfunc_index_oob i "kfunc index out of range"
+        | Some name -> (
+            match kernel with
+            | Some k when Btf.find_func k.Vmlinux.v_btf name = None ->
+                reject Verifier.Unknown_kfunc i
+                  (Printf.sprintf "calling kernel function %s is not allowed" name)
+            | _ -> kfuncs (i + 1) rest))
+    | _ :: rest -> kfuncs (i + 1) rest
   in
-  check 0 prog.Obj.p_insns
+  Result.bind (Verifier.verify prog.Obj.p_insns) (fun () -> kfuncs 0 prog.Obj.p_insns)
 
 let load_prog kernel obj (prog : Obj.prog) =
-  match Verifier.verify prog.Obj.p_insns with
-  | Error { Verifier.ve_insn; ve_msg } ->
-      Error (Verifier_error { prog = prog.Obj.p_name; insn = ve_insn; msg = ve_msg })
+  match check_prog ~kernel prog with
+  | Error { Verifier.rj_insn; rj_msg; _ } ->
+      Error (Verifier_error { prog = prog.Obj.p_name; insn = rj_insn; msg = rj_msg })
   | Ok () -> (
-      match resolve_kfuncs kernel prog with
-      | Error e -> Error e
-      | Ok () -> (
       match relocate kernel obj prog with
       | Error e -> Error e
       | Ok (insns, offsets) -> (
@@ -215,7 +211,7 @@ let load_prog kernel obj (prog : Obj.prog) =
                   at_insns = insns;
                   at_addrs = addrs;
                   at_field_offsets = offsets;
-                })))
+                }))
 
 let instantiate_maps obj =
   List.map (fun (d : Maps.def) -> (d.Maps.md_name, Maps.create d)) obj.Obj.o_maps

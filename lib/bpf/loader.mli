@@ -29,6 +29,16 @@ val instantiate_maps : Obj.t -> (string * Maps.t) list
 (** Create the object's maps (what BPF_MAP_CREATE does at load time). *)
 
 val load_prog : Vmlinux.t -> Obj.t -> Obj.prog -> (attachment, error) result
+(** {!check_prog} against the kernel (a rejection is a [Verifier_error]
+    with its [rj_insn]/[rj_msg]), then relocation and attachment. *)
+
+val check_prog : ?kernel:Vmlinux.t -> Obj.prog -> (unit, Verifier.rejection) result
+(** The checks a program passes before relocation: {!Verifier.verify},
+    then the kfunc registry check — every [Kfunc_call i] must index the
+    program's kfunc table ({!Verifier.Kfunc_index_oob}) and, when a
+    [kernel] is given, name a function in its BTF
+    ({!Verifier.Unknown_kfunc}). A kfunc rejection carries no register
+    file and no trail. *)
 
 val resolve_field :
   Ds_btf.Btf.t -> struct_name:string -> path:string list -> (int, string) result

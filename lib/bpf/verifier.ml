@@ -18,8 +18,9 @@ type rule =
   | Jump_oob
   | Uninit_r0_exit
   | Path_explosion
-
-type error = { ve_insn : int; ve_msg : string }
+  | Kfunc_index_oob
+  | Unknown_kfunc
+  | Malformed_insn
 
 type rejection = {
   rj_rule : rule;
@@ -39,7 +40,7 @@ let max_states = 65536
    terminates; a visited set on (pc, state) bounds the blow-up on
    diamond-heavy programs, and a state budget turns the residual
    blow-up into a structured rejection (the kernel's 1M-insn cap). *)
-let verify_full insns =
+let verify insns =
   let n = List.length insns in
   let whole rule msg = Error { rj_rule = rule; rj_insn = -1; rj_msg = msg; rj_regs = None; rj_trail = [] } in
   if n = 0 then whole Empty_program "empty program"
@@ -175,8 +176,3 @@ let verify_full insns =
     regs.(10) <- Stack;
     go 0 regs []
   end
-
-let verify insns =
-  match verify_full insns with
-  | Ok () -> Ok ()
-  | Error r -> Error { ve_insn = r.rj_insn; ve_msg = r.rj_msg }

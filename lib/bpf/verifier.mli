@@ -16,10 +16,13 @@
 
 type reg_state = Uninit | Scalar | Ctx | Stack
 
-(** The closed set of rules a program can violate — one constructor per
-    distinct rejection the checker can produce, so downstream diagnostics
+(** The closed set of load-time rejections: one constructor per distinct
+    way a program can fail to load, so downstream diagnostics
     ({!Ds_verify}) classify structurally instead of parsing message
-    strings. *)
+    strings. {!verify} produces the first seventeen. The last three come
+    from outside it: the kfunc check of {!Loader.check_prog} produces
+    {!Kfunc_index_oob} and {!Unknown_kfunc}, and a stream that does not
+    decode ({!Insn.Bad_insn}) is a {!Malformed_insn}. *)
 type rule =
   | Empty_program
   | Size_cap  (** more than {!max_insns} instructions *)
@@ -38,22 +41,21 @@ type rule =
   | Jump_oob  (** forward jump past the end of the program *)
   | Uninit_r0_exit  (** exit with R0 never written *)
   | Path_explosion  (** forked-state budget {!max_states} exhausted *)
+  | Kfunc_index_oob  (** [Kfunc_call i] with no i-th kfunc table entry *)
+  | Unknown_kfunc  (** kfunc name absent from the target kernel's BTF *)
+  | Malformed_insn  (** the stream never decoded *)
 
-type error = {
-  ve_insn : int;  (** offending instruction index, -1 for whole-program *)
-  ve_msg : string;
-}
-
-(** A structured rejection: everything {!error} carries, plus the
-    violated {!rule}, the abstract register file at the failure point
-    (indices 0–10; [None] for whole-program rejections that never
-    started executing), and the forked-path trail — the [(branch pc,
+(** A structured rejection: the violated {!rule}, the offending
+    instruction index ([-1] for whole-program rejections), the message,
+    the abstract register file at the failure point (indices 0–10;
+    [None] for rejections that never started executing and for the
+    non-verifier rules), and the forked-path trail — the [(branch pc,
     taken?)] decisions, oldest first, of the exploration path that
     reached the failure. *)
 type rejection = {
   rj_rule : rule;
-  rj_insn : int;  (** same convention as [ve_insn] *)
-  rj_msg : string;  (** byte-identical to the historical [ve_msg] *)
+  rj_insn : int;
+  rj_msg : string;
   rj_regs : reg_state array option;
   rj_trail : (int * bool) list;
 }
@@ -67,9 +69,5 @@ val max_states : int
 (** Total forked (pc, register-file) states one verification may
     explore; exceeding it rejects with {!Path_explosion}. *)
 
-val verify_full : Insn.t list -> (unit, rejection) result
-(** The structured entrypoint. Never raises. *)
-
-val verify : Insn.t list -> (unit, error) result
-(** {!verify_full} with the rejection flattened to the historical
-    [{ve_insn; ve_msg}] pair (messages unchanged). *)
+val verify : Insn.t list -> (unit, rejection) result
+(** Never raises. *)

@@ -109,22 +109,14 @@ let decode_matrix =
       in
       { m_obj_name; m_baseline; m_rows })
 
-(* Primitive helpers re-exported for sibling codecs (ds_graph) that
+(* Primitive helpers re-exported for sibling codecs (ds_graph, ds_watch) that
    frame their own length-prefixed payloads but share this codec's
    conventions (and its [Decode_error] discipline). *)
 module Prim = struct
   let w_str = w_str
   let r_str = r_str
-  let w_bool = w_bool
-  let r_bool = r_bool
   let w_list = w_list
   let r_list = r_list
-  let w_opt = w_opt
-  let r_opt = r_opt
-  let w_version = w_version
-  let r_version = r_version
-  let w_config = w_config
-  let r_config = r_config
   let w_dep w dep = w_dep_with (w_str w) w dep
   let r_dep r = r_dep_with (fun () -> r_str r) r
   let expect_eof = expect_eof

@@ -43,27 +43,19 @@ val decode_config_diffs : string -> (Config.t * Diff.t) list
 val encode_matrix : Report.matrix -> string
 val decode_matrix : string -> Report.matrix
 
-(** Primitive wire helpers for sibling codecs (e.g. [Ds_graph]) that
-    frame their own {!Ds_store} payloads but share this codec's byte
-    conventions — uleb128-counted lists, the {!Depset.dep} tagging — and
-    its {!Decode_error} discipline. Their strings stay length-prefixed:
-    graph, verify and watch-state payloads carry no tables, and their
-    formats did not change with the tables. *)
+(** Primitive wire helpers for the sibling codecs of [Ds_graph] and
+    [Ds_watch], which frame their own {!Ds_store} payloads but share this
+    codec's byte conventions — uleb128-counted lists, the {!Depset.dep}
+    tagging — and its {!Decode_error} discipline. Their strings stay
+    length-prefixed: graph and watch-state payloads carry no tables, and
+    their formats did not change with the tables. *)
 module Prim : sig
   open Ds_util
 
   val w_str : Bytesio.Writer.t -> string -> unit
   val r_str : Bytesio.Reader.t -> string
-  val w_bool : Bytesio.Writer.t -> bool -> unit
-  val r_bool : Bytesio.Reader.t -> bool
   val w_list : Bytesio.Writer.t -> (Bytesio.Writer.t -> 'a -> unit) -> 'a list -> unit
   val r_list : Bytesio.Reader.t -> (Bytesio.Reader.t -> 'a) -> 'a list
-  val w_opt : Bytesio.Writer.t -> (Bytesio.Writer.t -> 'a -> unit) -> 'a option -> unit
-  val r_opt : Bytesio.Reader.t -> (Bytesio.Reader.t -> 'a) -> 'a option
-  val w_version : Bytesio.Writer.t -> Version.t -> unit
-  val r_version : Bytesio.Reader.t -> Version.t
-  val w_config : Bytesio.Writer.t -> Config.t -> unit
-  val r_config : Bytesio.Reader.t -> Config.t
   val w_dep : Bytesio.Writer.t -> Depset.dep -> unit
   val r_dep : Bytesio.Reader.t -> Depset.dep
 

@@ -1,26 +1,5 @@
 open Ds_bpf
-
-type t =
-  | Empty_program
-  | Size_cap
-  | No_exit
-  | Invalid_register
-  | Uninit_register
-  | Write_r10
-  | Ctx_oob
-  | Stack_oob_read
-  | Stack_oob_write
-  | Scalar_deref
-  | Ctx_write
-  | Bad_store_target
-  | Unknown_helper
-  | Backward_jump
-  | Jump_oob
-  | Uninit_r0_exit
-  | Path_explosion
-  | Kfunc_index_oob
-  | Unknown_kfunc
-  | Malformed_insn
+open Verifier
 
 let all =
   [
@@ -76,25 +55,6 @@ let describe = function
   | Kfunc_index_oob -> "a kfunc call indexes past the object's kfunc table"
   | Unknown_kfunc -> "the named kernel function is absent from kernel BTF"
   | Malformed_insn -> "the instruction stream does not decode"
-
-let of_verifier = function
-  | Verifier.Empty_program -> Empty_program
-  | Verifier.Size_cap -> Size_cap
-  | Verifier.No_exit -> No_exit
-  | Verifier.Invalid_register -> Invalid_register
-  | Verifier.Uninit_register -> Uninit_register
-  | Verifier.Write_r10 -> Write_r10
-  | Verifier.Ctx_oob -> Ctx_oob
-  | Verifier.Stack_oob_read -> Stack_oob_read
-  | Verifier.Stack_oob_write -> Stack_oob_write
-  | Verifier.Scalar_deref -> Scalar_deref
-  | Verifier.Ctx_write -> Ctx_write
-  | Verifier.Bad_store_target -> Bad_store_target
-  | Verifier.Unknown_helper -> Unknown_helper
-  | Verifier.Backward_jump -> Backward_jump
-  | Verifier.Jump_oob -> Jump_oob
-  | Verifier.Uninit_r0_exit -> Uninit_r0_exit
-  | Verifier.Path_explosion -> Path_explosion
 
 let dependency_induced = function
   | Unknown_helper | Unknown_kfunc -> true

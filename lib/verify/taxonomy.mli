@@ -1,12 +1,11 @@
-(** The closed taxonomy of load-time rejections.
-
-    One constructor per distinct way a program can fail to load: the
-    seventeen {!Ds_bpf.Verifier.rule}s, the two structural kfunc checks
-    the loader performs after verification (index out of range, name
-    absent from the target kernel's BTF), and a malformed instruction
-    stream that never decoded at all. Every rejection {!Verify} produces
-    carries exactly one of these — the fuzz harness asserts the set is
-    closed (no "unclassified" leaks) by round-tripping {!id}/{!of_id}.
+(** The taxonomy views over {!Ds_bpf.Verifier.rule}, the closed set of
+    load-time rejections: the seventeen the verifier produces, the two
+    kfunc checks of {!Ds_bpf.Loader.check_prog} (index out of range,
+    name absent from the target kernel's BTF), and a malformed
+    instruction stream that never decoded at all. Every rejection
+    {!Verify} produces carries exactly one rule — the fuzz harness
+    asserts the set is closed (no "unclassified" leaks) by
+    round-tripping {!id}/{!of_id}.
 
     Rules split into {e program-induced} (the bytecode is wrong on any
     kernel) and {e dependency-induced} (the program is fine, the target
@@ -14,50 +13,26 @@
     For the latter, {!suggestion} consults {!Depsurf.Compat}'s stable
     probe registry and names the probe that would bridge the gap. *)
 
-type t =
-  | Empty_program
-  | Size_cap
-  | No_exit
-  | Invalid_register
-  | Uninit_register
-  | Write_r10
-  | Ctx_oob
-  | Stack_oob_read
-  | Stack_oob_write
-  | Scalar_deref
-  | Ctx_write
-  | Bad_store_target
-  | Unknown_helper
-  | Backward_jump
-  | Jump_oob
-  | Uninit_r0_exit
-  | Path_explosion
-  | Kfunc_index_oob  (** [Kfunc_call i] with no i-th kfunc table entry *)
-  | Unknown_kfunc  (** kfunc name absent from the target kernel's BTF *)
-  | Malformed_insn  (** the stream never decoded ({!Ds_bpf.Insn.Bad_insn}) *)
-
-val all : t list
+val all : Ds_bpf.Verifier.rule list
 (** Every rule, in declaration order. *)
 
-val id : t -> string
+val id : Ds_bpf.Verifier.rule -> string
 (** Stable kebab-case identifier, e.g. ["unsafe-load-scalar"]; the key
     used in JSON reports, [depsurf mutate --survey] tallies and the
     fuzz-campaign tallies. *)
 
-val of_id : string -> t option
+val of_id : string -> Ds_bpf.Verifier.rule option
 (** Inverse of {!id}. *)
 
-val describe : t -> string
+val describe : Ds_bpf.Verifier.rule -> string
 (** One-line description for the taxonomy table. *)
 
-val of_verifier : Ds_bpf.Verifier.rule -> t
-(** Embed the verifier's rules (a 1:1 mapping). *)
-
-val dependency_induced : t -> bool
-(** True for {!Unknown_helper} and {!Unknown_kfunc}: the program would
+val dependency_induced : Ds_bpf.Verifier.rule -> bool
+(** True for {!Ds_bpf.Verifier.Unknown_helper} and
+    {!Ds_bpf.Verifier.Unknown_kfunc}: the program would
     load on a kernel that has the dependency. *)
 
-val suggestion : ?section:string -> ?detail:string -> t -> string
+val suggestion : ?section:string -> ?detail:string -> Ds_bpf.Verifier.rule -> string
 (** The {e suggested bridge}: a concrete rewrite or mitigation for each
     rule ("route the scalar through [bpf_probe_read]", "hoist the bound
     check before the load", ...). [detail] names the missing helper or

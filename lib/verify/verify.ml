@@ -1,13 +1,10 @@
 open Ds_util
 open Ds_bpf
-module W = Bytesio.Writer
-module R = Bytesio.Reader
-module P = Depsurf.Codec.Prim
 
 let component = "verify"
 
 type finding = {
-  fd_rule : Taxonomy.t;
+  fd_rule : Verifier.rule;
   fd_insn : int;
   fd_msg : string;
   fd_window : (int * string) list;
@@ -60,36 +57,31 @@ let regs_render = function
   | Some a ->
       List.init (Array.length a) (fun i -> (Printf.sprintf "r%d" i, reg_state_str a.(i)))
 
-let mk_finding ?section ?detail ~rule ~insns ~insn ~msg ~regs ~trail () =
-  {
-    fd_rule = rule;
-    fd_insn = insn;
-    fd_msg = msg;
-    fd_window = window insns insn;
-    fd_regs = regs;
-    fd_trail = trail;
-    fd_suggestion = Taxonomy.suggestion ?section ?detail rule;
-  }
-
-let of_rejection ?section insns (r : Verifier.rejection) =
-  let rule = Taxonomy.of_verifier r.Verifier.rj_rule in
-  (* name the missing helper in the suggestion when we can see the call;
+let of_rejection ?section ?(kfuncs = []) insns (r : Verifier.rejection) =
+  (* name the missing helper, or the missing kfunc from the program's
+     [kfuncs] table, in the suggestion when we can see the call;
      [rj_insn] is [-1] on whole-program rejections ([nth_opt] raises on
      negative indices, it does not answer [None]) *)
   let detail =
     if r.Verifier.rj_insn < 0 then None
     else
-      match (rule, List.nth_opt insns r.Verifier.rj_insn) with
-      | Taxonomy.Unknown_helper, Some (Insn.Call id) -> Some (string_of_int id)
+      match (r.Verifier.rj_rule, List.nth_opt insns r.Verifier.rj_insn) with
+      | Verifier.Unknown_helper, Some (Insn.Call id) -> Some (string_of_int id)
+      | Verifier.Unknown_kfunc, Some (Insn.Kfunc_call k) -> List.nth_opt kfuncs k
       | _ -> None
   in
-  mk_finding ?section ?detail ~rule ~insns ~insn:r.Verifier.rj_insn
-    ~msg:r.Verifier.rj_msg
-    ~regs:(regs_render r.Verifier.rj_regs)
-    ~trail:r.Verifier.rj_trail ()
+  {
+    fd_rule = r.Verifier.rj_rule;
+    fd_insn = r.Verifier.rj_insn;
+    fd_msg = r.Verifier.rj_msg;
+    fd_window = window insns r.Verifier.rj_insn;
+    fd_regs = regs_render r.Verifier.rj_regs;
+    fd_trail = r.Verifier.rj_trail;
+    fd_suggestion = Taxonomy.suggestion ?section ?detail r.Verifier.rj_rule;
+  }
 
 let verify_insns ?section insns =
-  match Verifier.verify_full insns with
+  match Verifier.verify insns with
   | Ok () -> None
   | Error r -> Some (of_rejection ?section insns r)
 
@@ -97,49 +89,23 @@ let verify_stream ?section bytes =
   match Insn.decode bytes with
   | exception Insn.Bad_insn msg ->
       Some
-        (mk_finding ?section ~rule:Taxonomy.Malformed_insn ~insns:[] ~insn:(-1)
-           ~msg ~regs:[] ~trail:[] ())
+        (of_rejection ?section []
+           {
+             Verifier.rj_rule = Verifier.Malformed_insn;
+             rj_insn = -1;
+             rj_msg = msg;
+             rj_regs = None;
+             rj_trail = [];
+           })
   | insns -> verify_insns ?section insns
 
-(* The loader's structural kfunc checks (Loader.resolve_kfuncs), redone
-   here so a report can carry them: the index must hit the object's
-   kfunc table and — when a target kernel is supplied — the name must
-   exist in its BTF. Messages match the loader's byte-for-byte. *)
-let kfunc_finding ?kernel (p : Obj.prog) =
-  let section = p.Obj.p_section in
-  let rec scan i = function
-    | [] -> None
-    | Insn.Kfunc_call idx :: rest -> (
-        match List.nth_opt p.Obj.p_kfuncs idx with
-        | None ->
-            Some
-              (mk_finding ~section ~rule:Taxonomy.Kfunc_index_oob
-                 ~insns:p.Obj.p_insns ~insn:i ~msg:"kfunc index out of range"
-                 ~regs:[] ~trail:[] ())
-        | Some name -> (
-            match kernel with
-            | Some vm when Ds_btf.Btf.find_func vm.Vmlinux.v_btf name = None ->
-                Some
-                  (mk_finding ~section ~detail:name ~rule:Taxonomy.Unknown_kfunc
-                     ~insns:p.Obj.p_insns ~insn:i
-                     ~msg:
-                       (Printf.sprintf "calling kernel function %s is not allowed"
-                          name)
-                     ~regs:[] ~trail:[] ())
-            | _ -> scan (i + 1) rest))
-    | _ :: rest -> scan (i + 1) rest
-  in
-  scan 0 p.Obj.p_insns
-
 let verify_prog ?kernel (p : Obj.prog) =
-  match verify_insns ~section:p.Obj.p_section p.Obj.p_insns with
-  | Some f -> Some f
-  | None -> kfunc_finding ?kernel p
-
-let build_count = Atomic.make 0
+  match Loader.check_prog ?kernel p with
+  | Ok () -> None
+  | Error r ->
+      Some (of_rejection ~section:p.Obj.p_section ~kfuncs:p.Obj.p_kfuncs p.Obj.p_insns r)
 
 let verify_bytes ?kernel bytes =
-  Atomic.incr build_count;
   let outcome = Obj.read ~mode:`Lenient bytes in
   let obj = Diag.ok outcome in
   let progs =
@@ -174,136 +140,10 @@ let verify_bytes ?kernel bytes =
     rp_diags = Diag.diags outcome @ rejection_diags;
   }
 
-(* ---------------------------- persistence ---------------------------- *)
-
-let ns = "verify"
-let codec_version = 1
-
-let w_severity w s =
-  W.u8 w (match s with Diag.Warning -> 0 | Diag.Degraded -> 1 | Diag.Fatal -> 2)
-
-let r_severity r =
-  match R.u8 r with
-  | 0 -> Diag.Warning
-  | 1 -> Diag.Degraded
-  | 2 -> Diag.Fatal
-  | n -> P.fail "verify: unknown severity tag %d" n
-
-let w_diag w (d : Diag.t) =
-  w_severity w d.Diag.d_severity;
-  P.w_str w d.Diag.d_component;
-  P.w_opt w P.w_str d.Diag.d_context;
-  P.w_opt w (fun w o -> W.uleb128 w o) d.Diag.d_offset;
-  P.w_str w d.Diag.d_message
-
-let r_diag r =
-  let d_severity = r_severity r in
-  let d_component = P.r_str r in
-  let d_context = P.r_opt r P.r_str in
-  let d_offset = P.r_opt r R.uleb128 in
-  let d_message = P.r_str r in
-  { Diag.d_severity; d_component; d_context; d_offset; d_message }
-
-let w_finding w f =
-  P.w_str w (Taxonomy.id f.fd_rule);
-  W.sleb128 w f.fd_insn;
-  P.w_str w f.fd_msg;
-  P.w_list w
-    (fun w (i, l) ->
-      W.uleb128 w i;
-      P.w_str w l)
-    f.fd_window;
-  P.w_list w
-    (fun w (a, b) ->
-      P.w_str w a;
-      P.w_str w b)
-    f.fd_regs;
-  P.w_list w
-    (fun w (i, taken) ->
-      W.uleb128 w i;
-      P.w_bool w taken)
-    f.fd_trail;
-  P.w_str w f.fd_suggestion
-
-let r_finding r =
-  let rule_id = P.r_str r in
-  let fd_rule =
-    match Taxonomy.of_id rule_id with
-    | Some t -> t
-    | None -> P.fail "verify: unknown rule id %S" rule_id
-  in
-  let fd_insn = R.sleb128 r in
-  let fd_msg = P.r_str r in
-  let fd_window =
-    P.r_list r (fun r ->
-        let i = R.uleb128 r in
-        let l = P.r_str r in
-        (i, l))
-  in
-  let fd_regs =
-    P.r_list r (fun r ->
-        let a = P.r_str r in
-        let b = P.r_str r in
-        (a, b))
-  in
-  let fd_trail =
-    P.r_list r (fun r ->
-        let i = R.uleb128 r in
-        let taken = P.r_bool r in
-        (i, taken))
-  in
-  let fd_suggestion = P.r_str r in
-  { fd_rule; fd_insn; fd_msg; fd_window; fd_regs; fd_trail; fd_suggestion }
-
-let w_prog w pr =
-  P.w_str w pr.pr_name;
-  P.w_str w pr.pr_section;
-  W.uleb128 w pr.pr_insns;
-  P.w_opt w w_finding pr.pr_finding
-
-let r_prog r =
-  let pr_name = P.r_str r in
-  let pr_section = P.r_str r in
-  let pr_insns = R.uleb128 r in
-  let pr_finding = P.r_opt r r_finding in
-  { pr_name; pr_section; pr_insns; pr_finding }
-
-let encode rep =
-  let w = W.create () in
-  P.w_str w rep.rp_obj;
-  P.w_opt w P.w_str rep.rp_kernel;
-  P.w_str w rep.rp_digest;
-  P.w_list w w_prog rep.rp_progs;
-  P.w_list w w_diag rep.rp_diags;
-  W.contents w
-
-let decode_exn data =
-  let r = R.of_string data in
-  let rp_obj = P.r_str r in
-  let rp_kernel = P.r_opt r P.r_str in
-  let rp_digest = P.r_str r in
-  let rp_progs = P.r_list r r_prog in
-  let rp_diags = P.r_list r r_diag in
-  P.expect_eof r;
-  { rp_obj; rp_kernel; rp_digest; rp_progs; rp_diags }
-
-let decode data =
-  try decode_exn data
-  with Bytesio.Truncated what -> P.fail "verify: truncated payload (%s)" what
-
-let store_key ds ~image ~digest =
-  Depsurf.Dataset.cache_key ds ~label:"verify"
-    [ image; digest; "c" ^ string_of_int codec_version ]
-
-(* no in-process table: object bytes come from clients, so a memo keyed
-   by them would grow for the life of a server; the store tier already
-   makes a warm re-verify decode-only *)
-let of_dataset ds v cfg bytes =
-  let kernel = Depsurf.Dataset.vmlinux ds v cfg in
-  let key = store_key ds ~image:(Vmlinux.tag kernel) ~digest:(digest bytes) in
-  Ds_store.Store.memo (Depsurf.Dataset.store ds) ~ns ~key ~encode ~decode
-    ~cache_if:(fun r -> Diag.worst r.rp_diags <> Some Diag.Fatal)
-    (fun () -> verify_bytes ~kernel bytes)
+(* no store tier and no in-process table: verifying takes microseconds
+   and the bytes are client input; the server's response cache answers a
+   repeated object *)
+let of_dataset ds v cfg bytes = verify_bytes ~kernel:(Depsurf.Dataset.vmlinux ds v cfg) bytes
 
 (* ------------------------------- views ------------------------------- *)
 

@@ -2,17 +2,20 @@
 
     {!Ds_bpf.Verifier} answers {e whether} a program loads;
     this module answers {e why not}, in a form a tool author can act on.
-    A rejected program yields a {!finding}: the violated {!Taxonomy}
-    rule, the offending instruction offset, a disassembled window around
-    it ({!Ds_bpf.Disasm.line}), the abstract register file at the
+    A rejected program yields a {!finding}: the violated
+    {!Ds_bpf.Verifier.rule} (named and explained by {!Taxonomy}), the
+    offending instruction offset, a disassembled window around it
+    ({!Ds_bpf.Disasm.line}), the abstract register file at the
     failure point, the forked-path trail that reached it, and a
     suggested bridge — with {!Depsurf.Compat} stable probes named when
     the rejection is dependency-induced rather than program-induced.
 
-    Reports are produced from raw object bytes ({!verify_bytes} — never
-    raises, mirrors the loader's lenient pipeline), persist through
-    {!Ds_store} keyed by object digest ({!of_dataset}, warm
-    re-verification is decode-only), and render identically as human
+    Every finding is a view of a {!Ds_bpf.Verifier.rejection}: the one
+    {!Ds_bpf.Loader.check_prog} computes, which the loader reports too,
+    so messages and offsets agree with [Loader.load_prog] by
+    construction. Reports are produced from raw object bytes
+    ({!verify_bytes} — never raises, mirrors the loader's lenient
+    pipeline) and are not persisted. They render identically as human
     text ({!render}), dataset JSON ({!report_json}) and the public
     envelope ({!envelope}) shared byte-for-byte by [depsurf doctor
     --json] and [POST /v1/verify].
@@ -23,7 +26,7 @@
     and every rejection classifies ({!campaign} tallies). *)
 
 type finding = {
-  fd_rule : Taxonomy.t;
+  fd_rule : Ds_bpf.Verifier.rule;
   fd_insn : int;  (** offending instruction index; [-1] = whole-program *)
   fd_msg : string;  (** the verifier/loader message, byte-identical *)
   fd_window : (int * string) list;
@@ -64,44 +67,26 @@ val verify_insns : ?section:string -> Ds_bpf.Insn.t list -> finding option
 
 val verify_stream : ?section:string -> string -> finding option
 (** Decode an encoded instruction stream and verify it; a stream that
-    does not decode yields a {!Taxonomy.Malformed_insn} finding. Never
-    raises — the fuzz harness's target. *)
+    does not decode yields a {!Ds_bpf.Verifier.Malformed_insn} finding.
+    Never raises — the fuzz harness's target. *)
 
 val verify_prog : ?kernel:Ds_bpf.Vmlinux.t -> Ds_bpf.Obj.prog -> finding option
-(** {!verify_insns} plus the loader's structural kfunc checks: a
-    [Kfunc_call] must index the kfunc table, and (when [kernel] is
-    given) the name must exist in its BTF. *)
+(** {!Ds_bpf.Loader.check_prog}: {!verify_insns}'s checks plus the
+    kfunc check — a [Kfunc_call] must index the kfunc table, and (when
+    [kernel] is given) the name must exist in its BTF. The finding's [fd_insn]/[fd_msg] are the
+    [insn]/[msg] of the loader's [Verifier_error] for the same program. *)
 
 val verify_bytes : ?kernel:Ds_bpf.Vmlinux.t -> string -> report
 (** The full pipeline on raw bytes: lenient object read, then
     {!verify_prog} per program. Never raises. *)
 
-val build_count : int Atomic.t
-(** Incremented by every {!verify_bytes}; the [store warm re-verify]
-    test asserts it stays flat across a warm {!of_dataset} run
-    (decode-only). *)
-
-(** {2 Persistence} *)
-
-val ns : string
-(** The {!Ds_store} namespace, ["verify"]. *)
-
-val codec_version : int
-
-val encode : report -> string
-val decode : string -> report
-(** Raises {!Depsurf.Codec.Decode_error} on malformed payloads (the
-    store evicts and recomputes). *)
-
-val store_key : Depsurf.Dataset.t -> image:string -> digest:string -> string
-
 val of_dataset :
   Depsurf.Dataset.t -> Ds_ksrc.Version.t -> Ds_ksrc.Config.t -> string -> report
-(** Verify object bytes against a study image's kernel, memoized
-    through the dataset's store keyed by (image tag, object digest) — a
-    warm re-verification decodes, it does not re-verify. There is no
-    in-process table: the bytes are client input. Reports whose object
-    read was [Fatal] are not cached. *)
+(** {!verify_bytes} against a study image's kernel. Nothing is cached:
+    verifying an object takes microseconds, less than a store lookup
+    and write would add, and the bytes are client input.
+    [POST /v1/verify] keeps its answers in the server's response
+    cache. *)
 
 (** {2 Views} *)
 

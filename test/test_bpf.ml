@@ -80,11 +80,11 @@ let ok = Alcotest.(check bool) "accepted" true
 let rejected msg_part result =
   match result with
   | Ok () -> Alcotest.fail "expected rejection"
-  | Error { Verifier.ve_msg; _ } ->
-      Alcotest.(check bool) (Printf.sprintf "reason %S contains %S" ve_msg msg_part) true
+  | Error { Verifier.rj_msg; _ } ->
+      Alcotest.(check bool) (Printf.sprintf "reason %S contains %S" rj_msg msg_part) true
         (let n = String.length msg_part in
          let rec go i =
-           i + n <= String.length ve_msg && (String.sub ve_msg i n = msg_part || go (i + 1))
+           i + n <= String.length rj_msg && (String.sub rj_msg i n = msg_part || go (i + 1))
          in
          go 0)
 

@@ -90,10 +90,10 @@ let test_verifier_accepts_corpus () =
         (fun (p : Ds_bpf.Obj.prog) ->
           match Ds_bpf.Verifier.verify p.Ds_bpf.Obj.p_insns with
           | Ok () -> ()
-          | Error { Ds_bpf.Verifier.ve_insn; ve_msg } ->
+          | Error { Ds_bpf.Verifier.rj_insn; rj_msg; _ } ->
               Alcotest.fail
                 (Printf.sprintf "%s/%s: insn %d: %s" pr.Table7.pr_name p.Ds_bpf.Obj.p_name
-                   ve_insn ve_msg))
+                   rj_insn rj_msg))
         obj.Ds_bpf.Obj.o_progs)
     (Lazy.force built)
 

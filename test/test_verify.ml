@@ -1,8 +1,8 @@
 (* ds_verify: the closed rejection taxonomy, the structured report's
    window/regs/trail anatomy, suggestion wiring (including the compat
-   stable-probe hint on dependency-induced rules), the report codec, and
-   the never-raise/always-classify properties the @verify-fuzz campaign
-   gates at scale. *)
+   stable-probe hint on dependency-induced rules), the report views, the
+   absence of a store tier, and the never-raise/always-classify
+   properties the @verify-fuzz campaign gates at scale. *)
 
 open Ds_bpf
 module V = Ds_verify.Verify
@@ -79,13 +79,37 @@ let mkprog ?(section = "kprobe/do_unlinkat") ?(kfuncs = []) insns =
   { Obj.p_name = "t"; p_section = section; p_insns = insns; p_relocs = []; p_kfuncs = kfuncs }
 
 let test_kfunc_rules () =
+  let kernel = Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (Testenv.image (Ds_ksrc.Version.v 5 4))) in
+  (* the loader rejects with the finding's own offset and message: both
+     come from the one [Loader.check_prog] *)
+  let loader_agrees what prog (f : V.finding) =
+    let obj =
+      { Obj.o_name = "k"; o_built_for = "v5.4/x86"; o_progs = [ prog ]; o_maps = [];
+        o_btf = Ds_btf.Btf.create () }
+    in
+    match Loader.load_prog kernel obj prog with
+    | Error (Loader.Verifier_error { insn; msg; _ }) ->
+        Alcotest.(check int) (what ^ ": loader insn") f.V.fd_insn insn;
+        Alcotest.(check string) (what ^ ": loader msg") f.V.fd_msg msg
+    | Error e -> Alcotest.fail (what ^ ": " ^ Loader.error_to_string e)
+    | Ok _ -> Alcotest.fail (what ^ ": loader accepted")
+  in
   (* index past the kfunc table: structurally wrong on every kernel *)
-  (match V.verify_prog (mkprog Insn.[ Kfunc_call 3; Exit ]) with
+  let oob = mkprog Insn.[ Kfunc_call 3; Exit ] in
+  (match V.verify_prog oob with
   | Some f ->
       Alcotest.(check string) "oob rule" "kfunc-index-out-of-range" (T.id f.V.fd_rule);
       Alcotest.(check int) "oob insn" 0 f.V.fd_insn;
-      Alcotest.(check string) "oob msg" "kfunc index out of range" f.V.fd_msg
+      Alcotest.(check string) "oob msg" "kfunc index out of range" f.V.fd_msg;
+      loader_agrees "oob" oob f
   | None -> Alcotest.fail "kfunc index oob accepted");
+  (* a decoded imm can be negative: the same rule, not an exception *)
+  let neg = mkprog ~kfuncs:[ "whatever" ] Insn.[ Kfunc_call (-1); Exit ] in
+  (match V.verify_prog neg with
+  | Some f ->
+      Alcotest.(check string) "negative index rule" "kfunc-index-out-of-range" (T.id f.V.fd_rule);
+      loader_agrees "negative index" neg f
+  | None -> Alcotest.fail "negative kfunc index accepted");
   (* without a kernel, a well-indexed kfunc is accepted (name-checking
      is a load-time concern) *)
   (match V.verify_prog (mkprog ~kfuncs:[ "whatever" ] Insn.[ Kfunc_call 0; Exit ]) with
@@ -93,15 +117,14 @@ let test_kfunc_rules () =
   | Some f -> Alcotest.fail ("kernel-less kfunc rejected: " ^ T.id f.V.fd_rule));
   (* against a real study kernel's BTF, an unknown name is the paper's
      dependency-induced rejection *)
-  let kernel = Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (Testenv.image (Ds_ksrc.Version.v 5 4))) in
-  match
-    V.verify_prog ~kernel (mkprog ~kfuncs:[ "no_such_kfunc_xyz" ] Insn.[ Kfunc_call 0; Exit ])
-  with
+  let unknown = mkprog ~kfuncs:[ "no_such_kfunc_xyz" ] Insn.[ Kfunc_call 0; Exit ] in
+  match V.verify_prog ~kernel unknown with
   | Some f ->
       Alcotest.(check string) "unknown kfunc rule" "unknown-kfunc" (T.id f.V.fd_rule);
       Alcotest.(check string) "loader wording preserved"
         "calling kernel function no_such_kfunc_xyz is not allowed" f.V.fd_msg;
-      Alcotest.(check bool) "dependency induced" true (T.dependency_induced f.V.fd_rule)
+      Alcotest.(check bool) "dependency induced" true (T.dependency_induced f.V.fd_rule);
+      loader_agrees "unknown" unknown f
   | None -> Alcotest.fail "unknown kfunc accepted"
 
 let test_malformed_stream () =
@@ -164,15 +187,15 @@ let test_whole_program_shape () =
 let test_compat_suggestion () =
   (* unknown helper in a section the compat registry covers: the hint
      names the stable probe that resolves per kernel *)
-  let s = T.suggestion ~section:"kprobe/blk_account_io_start" T.Unknown_helper in
+  let s = T.suggestion ~section:"kprobe/blk_account_io_start" Verifier.Unknown_helper in
   Alcotest.(check bool) "names block:io_start" true
     (contains s "block:io_start");
   (* same rule without a covered section: no probe claim *)
-  let s' = T.suggestion ~section:"kprobe/not_a_registered_hook" T.Unknown_helper in
+  let s' = T.suggestion ~section:"kprobe/not_a_registered_hook" Verifier.Unknown_helper in
   Alcotest.(check bool) "no stray probe claim" false
     (contains s' "compat registry");
   (* program-induced rules never get a probe hint, covered section or not *)
-  let s'' = T.suggestion ~section:"kprobe/blk_account_io_start" T.Scalar_deref in
+  let s'' = T.suggestion ~section:"kprobe/blk_account_io_start" Verifier.Scalar_deref in
   Alcotest.(check bool) "program-induced: no probe" false
     (contains s'' "block:io_start")
 
@@ -187,14 +210,14 @@ let test_taxonomy_closed () =
       Alcotest.(check bool) (T.id r ^ " suggests") true (T.suggestion r <> ""))
     T.all;
   Alcotest.(check bool) "unknown id" true (T.of_id "no-such-rule" = None);
-  (* the verifier's rules embed injectively *)
+  (* the golden corpus tells the seventeen verifier rules apart *)
   let ids =
     List.sort_uniq compare
       (List.map (fun (_, insns) -> rule_of insns) golden)
   in
   Alcotest.(check int) "17 verifier rules distinguished" 17 (List.length ids)
 
-(* ---- reports, codec, json ------------------------------------------- *)
+(* ---- reports, json ------------------------------------------------- *)
 
 let sample_report () =
   let prog = mkprog ~section:"kprobe/do_unlinkat" Insn.[ Call 9999; Exit ] in
@@ -209,22 +232,16 @@ let sample_report () =
   in
   V.verify_bytes (Obj.write obj)
 
-let test_report_and_codec () =
+let test_report_and_envelope () =
   let r = sample_report () in
   Alcotest.(check int) "two programs" 2 (List.length r.V.rp_progs);
   Alcotest.(check int) "one rejection" 1 (List.length (V.findings r));
   Alcotest.(check int) "degraded exit" 2 (Diag.exit_code r.V.rp_diags);
-  (* codec roundtrip is exact, and the envelope (the /v1/verify and
-     doctor --json payload) is byte-stable across it *)
-  let r' = V.decode (V.encode r) in
-  Alcotest.(check bool) "codec roundtrip" true (r = r');
+  (* the envelope (the /v1/verify and doctor --json payload) is
+     byte-stable across re-verifications *)
   Alcotest.(check string) "envelope bytes stable"
     (Ds_util.Json.to_string (V.envelope r))
-    (Ds_util.Json.to_string (V.envelope r'));
-  (* corrupt payloads surface as Decode_error, never a crash *)
-  (match V.decode "garbage" with
-  | _ -> Alcotest.fail "garbage decoded"
-  | exception Depsurf.Codec.Decode_error _ -> ());
+    (Ds_util.Json.to_string (V.envelope (sample_report ())));
   (* the human rendering names the rule and the hint *)
   let txt = V.render r in
   Alcotest.(check bool) "render names rule" true
@@ -237,11 +254,11 @@ let test_garbage_bytes_report () =
   Alcotest.(check bool) "fatal diag" true (Diag.worst r.V.rp_diags = Some Diag.Fatal);
   Alcotest.(check int) "fatal exit" 1 (Diag.exit_code r.V.rp_diags)
 
-(* A warm re-verify is decode-only: a second store handle on the same
-   directory (what a later process opens) finds the report [of_dataset]
-   persisted for a corpus object, equal to the cold one, and
-   [build_count] does not move. *)
-let test_store_warm_reverify () =
+(* There is no verify store tier: [of_dataset] on distinct parseable
+   single-bit mutants of a corpus object, one of them twice, writes
+   nothing to the dataset's store and leaves no [verify] namespace, and
+   the repeated object verifies to an equal report. *)
+let test_of_dataset_writes_no_store () =
   let dir = Filename.temp_file "ds-verify-store" "" in
   Sys.remove dir;
   let store = Ds_store.Store.open_ ~dir () in
@@ -254,20 +271,33 @@ let test_store_warm_reverify () =
          (Ds_corpus.Corpus.build_all ds ()))
   in
   let bytes = Obj.write obj in
-  let builds0 = Atomic.get V.build_count in
-  let cold = V.of_dataset ds v cfg bytes in
-  Alcotest.(check int) "cold verify runs once" 1 (Atomic.get V.build_count - builds0);
-  Alcotest.(check int) "corpus object accepted" 0 (List.length (V.findings cold));
-  let image = Vmlinux.tag (Depsurf.Dataset.vmlinux ds v cfg) in
-  let store2 = Ds_store.Store.open_ ~dir () in
-  (match
-     Ds_store.Store.find store2 ~ns:V.ns
-       ~key:(V.store_key ds ~image ~digest:(V.digest bytes))
-       ~decode:V.decode
-   with
-  | Some warm -> Alcotest.(check bool) "stored report equals the cold one" true (warm = cold)
-  | None -> Alcotest.fail "report not persisted under the verify namespace");
-  Alcotest.(check int) "warm load is decode-only" 1 (Atomic.get V.build_count - builds0)
+  (* the kernel's own store traffic happens before the counters are read *)
+  ignore (Depsurf.Dataset.vmlinux ds v cfg);
+  let parseable b =
+    Diag.worst (Diag.diags (Obj.read ~mode:`Lenient b)) <> Some Diag.Fatal
+  in
+  let mutants =
+    List.filteri
+      (fun i _ -> i < 20)
+      (List.filter parseable
+         (List.sort_uniq compare
+            (List.init (String.length bytes / 8) (fun i ->
+                 Ds_faultgen.Faultgen.flip_bit bytes ~byte:(8 * i) ~bit:0))))
+  in
+  Alcotest.(check int) "20 distinct parseable mutants" 20 (List.length mutants);
+  let before = Ds_store.Store.stats store in
+  Alcotest.(check int) "corpus object accepted" 0
+    (List.length (V.findings (V.of_dataset ds v cfg bytes)));
+  let reports = List.map (V.of_dataset ds v cfg) mutants in
+  let again = V.of_dataset ds v cfg (List.hd mutants) in
+  let after = Ds_store.Store.stats store in
+  Alcotest.(check int) "no store writes" before.Ds_store.Store.c_writes
+    after.Ds_store.Store.c_writes;
+  Alcotest.(check int) "no bytes written" before.Ds_store.Store.c_bytes_written
+    after.Ds_store.Store.c_bytes_written;
+  Alcotest.(check bool) "no verify namespace" false
+    (List.exists (fun e -> e.Ds_store.Store.e_ns = "verify") (Ds_store.Store.entries ~dir));
+  Alcotest.(check bool) "repeated object, equal report" true (List.hd reports = again)
 
 (* ---- properties: never raise, always classify ----------------------- *)
 
@@ -364,9 +394,9 @@ let suites =
         Alcotest.test_case "whole-program shape" `Quick test_whole_program_shape;
         Alcotest.test_case "compat suggestion wiring" `Quick test_compat_suggestion;
         Alcotest.test_case "taxonomy closed" `Quick test_taxonomy_closed;
-        Alcotest.test_case "report + codec" `Quick test_report_and_codec;
+        Alcotest.test_case "report + envelope" `Quick test_report_and_envelope;
         Alcotest.test_case "garbage bytes" `Quick test_garbage_bytes_report;
-        Alcotest.test_case "store warm re-verify" `Quick test_store_warm_reverify;
+        Alcotest.test_case "of_dataset writes no store" `Quick test_of_dataset_writes_no_store;
         Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke;
         QCheck_alcotest.to_alcotest qcheck_verify_total;
         QCheck_alcotest.to_alcotest qcheck_stream_total;
