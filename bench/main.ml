@@ -764,11 +764,6 @@ let tracing () =
   (* the traced workload: a full lenient extraction, which crosses every
      instrumented parser (elf, dwarf, btf, vmlinux, surface) *)
   let workload () = Surface.extract ~mode:`Lenient image_bytes in
-  (* Interleaved single runs: the process heap drifts across a long
-     bench run (major-GC state moves extraction times by 10-20% between
-     sections), so a before/after split would measure the drift, not
-     the tracing. Alternating run-by-run gives both sides the same
-     noise environment. *)
   let time1 f =
     let (), dt = time (fun () -> ignore (f ())) in
     dt
@@ -779,23 +774,33 @@ let tracing () =
     Trace.disable ();
     d
   in
+  (* Adjacent on/off pairs, alternating which side runs first. The
+     process heap drifts across a long bench run (major-GC state moves
+     extraction times by 10-20% between sections), so only a pair shares
+     one noise environment; the median of the per-pair ratios then
+     discards the pairs a GC slice or a scheduler stall landed in. *)
   Gc.compact ();
-  let reps = 20 in
-  let offs = ref [] and ons = ref [] in
-  for i = 0 to (2 * reps) - 1 do
-    if i mod 2 = 0 then offs := time1 workload :: !offs
-    else ons := run_on () :: !ons
-  done;
-  (* min, not mean: GC and scheduler noise is strictly additive, so the
-     fastest run of each side is the honest per-run cost and the ratio
-     of minima isolates what tracing itself adds *)
-  let t_off = List.fold_left Float.min infinity !offs in
-  let t_on = List.fold_left Float.min infinity !ons in
+  let pairs = 100 in
+  let ratios =
+    Array.init pairs (fun i ->
+        let on, off =
+          if i mod 2 = 0 then
+            let off = time1 workload in
+            (run_on (), off)
+          else
+            let on = run_on () in
+            (on, time1 workload)
+        in
+        on /. Float.max 1e-9 off)
+  in
+  Array.sort Float.compare ratios;
+  let quartile k = ratios.(k * (pairs - 1) / 4) in
+  let overhead_pct = (quartile 2 -. 1.) *. 100. in
+  Printf.printf "  extraction: tracing on/off, median of %d pair ratios %+.1f%% (IQR %.1f points)\n"
+    pairs overhead_pct
+    ((quartile 3 -. quartile 1) *. 100.);
   let sps = Trace.spans () in
   let dropped = Trace.drops () in
-  let overhead_pct = ((t_on /. Float.max 1e-9 t_off) -. 1.) *. 100. in
-  Printf.printf "  extraction: disabled %.2f ms, enabled %.2f ms (min-of-%d %+.1f%%)\n"
-    (t_off *. 1000.) (t_on *. 1000.) reps overhead_pct;
   Printf.printf "  spans recorded: %d (dropped %d)\n" (List.length sps) dropped;
   let nested_ok = Trace.well_nested sps = None in
   if not nested_ok then print_endline "  tracing check: FAILED (spans not well nested)";

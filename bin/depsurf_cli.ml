@@ -591,7 +591,7 @@ let analyze_cmd =
                    try Ds_util.Diag.ok (Surface.extract bytes) with
                    | Ds_elf.Elf.Bad_elf m
                    | Ds_btf.Btf.Bad_btf m
-                   | Ds_dwarf.Die.Bad_dwarf m
+                   | Ds_dwarf.Info.Bad_dwarf m
                    | Ds_bpf.Vmlinux.Bad_vmlinux m ->
                        Printf.eprintf "%s: %s\n" f m;
                        exit 1
@@ -665,7 +665,7 @@ let doctor_cmd =
       | exception Ds_btf.Btf.Bad_btf m ->
           Printf.printf "fatal btf: %s\n" m;
           exit 1
-      | exception Ds_dwarf.Die.Bad_dwarf m ->
+      | exception Ds_dwarf.Info.Bad_dwarf m ->
           Printf.printf "fatal dwarf: %s\n" m;
           exit 1
       | exception Ds_bpf.Vmlinux.Bad_vmlinux m ->

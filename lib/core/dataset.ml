@@ -87,9 +87,9 @@ let vmlinux t v cfg =
   Par.Memo.find_or_compute t.vmlinuxes (key v cfg) (fun () ->
       (* Serialize and re-parse: every analysis works on the bytes a real
          image would provide, not on in-memory structures. *)
-      Ds_util.Diag.ok
-        (Ds_bpf.Vmlinux.load
-           (Ds_util.Diag.ok (Ds_elf.Elf.read (Ds_elf.Elf.write (image t v cfg))))))
+      let img = image t v cfg in
+      let bytes = Ds_trace.Trace.span ~name:"elf.write" (fun () -> Ds_elf.Elf.write img) in
+      Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (Ds_util.Diag.ok (Ds_elf.Elf.read bytes))))
 
 let surface t v cfg =
   Par.Memo.find_or_compute t.surfaces (key v cfg) (fun () ->

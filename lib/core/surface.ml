@@ -270,7 +270,9 @@ let of_vmlinux ?mode (k : Ds_bpf.Vmlinux.t) =
     end
   in
   let health = Diag.Sink.diags sink in
-  Diag.outcome ~diags:health (assemble k ~cus ~env ~btf_funcs ~structs ~health)
+  Diag.outcome ~diags:health
+    (Ds_trace.Trace.span ~name:"surface.assemble" (fun () ->
+         assemble k ~cus ~env ~btf_funcs ~structs ~health))
 
 let v ~version ~arch ~flavor ~gcc ~funcs ~structs ~tracepoints ~syscalls =
   let funcs = sorted_by fe_key funcs in

@@ -1,10 +1,19 @@
-(** High-level view of the debug information: compile units containing
-    subprogram declarations, type definitions, inlined-call records and
-    call sites.
+(** The debug information of an image and its one binary codec: compile
+    units containing subprogram declarations, type definitions,
+    inlined-call records and call sites.
 
     This is the bridge between the mini compiler (which produces a [cu]
     list describing what it compiled) and DepSurf (which recovers the same
     [cu] list from the [.debug_info]/[.debug_abbrev] bytes of an image).
+
+    The encoding follows the real DWARF discipline: a [.debug_abbrev]
+    section of abbreviation declarations (ULEB code, tag, has-children
+    flag, attribute/form pairs) shared by all units, and a [.debug_info]
+    section of per-compile-unit contributions, each with a unit header
+    followed by the DIE tree; sibling lists are terminated by a zero
+    abbreviation code. Type references are [DW_FORM_ref4]
+    section-relative offsets. Tag, attribute and form numbers are the
+    standard DWARF 4 values.
 
     Simplifications relative to real DWARF, chosen to keep the codec small
     while preserving everything DepSurf consumes:
@@ -44,13 +53,22 @@ type cu = {
   cu_typedefs : Decl.typedef_def list;
 }
 
+exception Bad_dwarf of string
+
 val encode : cu list -> string * string
-(** [(debug_info, debug_abbrev)] sections. *)
+(** [(debug_info, debug_abbrev)] sections. Type DIEs sit at the top level
+    of their unit, ahead of every DIE that refers to them, so {!decode}
+    returns a unit's structs, enums and typedefs in that placement order,
+    a referenced one first, not in the input order. *)
 
 val decode :
   ?mode:Ds_util.Diag.mode -> info:string -> abbrev:string -> unit -> cu list Ds_util.Diag.outcome
-(** Inverse of {!encode}. [`Strict] (the default) raises [Die.Bad_dwarf]
-    at the first malformed unit, DIE or type reference; [`Lenient]
-    skips malformed compile units individually (resynchronizing on unit
-    boundaries) and describes the losses in [diags]. The trailing
-    [unit] forces resolution of the optional [?mode]. *)
+(** Inverse of {!encode}. A malformed unit, a truncated abbrev table, a
+    dangling reference or an undecodable compile unit is reported to the
+    mode's {!Ds_util.Diag.Sink}: [`Strict] (the default) raises
+    [Bad_dwarf] at the first one; [`Lenient] skips just that unit
+    (resynchronizing on the unit header's length field; eight
+    consecutive skips drop the rest of the section), degrades on the
+    truncated table, drops the reference, or skips the compile unit, and
+    describes the loss in [diags]. The trailing [unit] forces resolution
+    of the optional [?mode]. *)

@@ -22,7 +22,7 @@ let surface_health bytes = Surface.health (Ds_util.Diag.ok (Surface.extract ~mod
 let surface_strict bytes = ignore (Surface.extract bytes)
 
 let surface_typed = function
-  | Ds_elf.Elf.Bad_elf _ | Ds_btf.Btf.Bad_btf _ | Ds_dwarf.Die.Bad_dwarf _
+  | Ds_elf.Elf.Bad_elf _ | Ds_btf.Btf.Bad_btf _ | Ds_dwarf.Info.Bad_dwarf _
   | Ds_bpf.Vmlinux.Bad_vmlinux _ ->
       true
   | _ -> false

@@ -1,6 +1,5 @@
 open Ds_dwarf
 open Ds_ctypes
-module Dw = Die.Dw
 
 let mk_proto ret params =
   Ctype.{ ret; params = List.map (fun (n, t) -> { pname = n; ptype = t }) params; variadic = false }
@@ -148,73 +147,175 @@ let test_typedef_enum_roundtrip () =
     [ ("REQ_OP_READ", 0); ("REQ_OP_WRITE", 1) ]
     e.Decl.values
 
-let test_die_low_level () =
-  let b = Die.Builder.create () in
-  let child = Die.Builder.add b ~tag:Dw.tag_member ~attrs:[ (Dw.at_name, Die.String "x") ] ~children:[] in
-  let parent =
-    Die.Builder.add b ~tag:Dw.tag_structure_type
-      ~attrs:[ (Dw.at_name, Die.String "s"); (Dw.at_byte_size, Die.Int 8) ]
-      ~children:[ child ]
-  in
-  let cu =
-    Die.Builder.add b ~tag:Dw.tag_compile_unit
-      ~attrs:[ (Dw.at_name, Die.String "a.c") ]
-      ~children:[ parent ]
-  in
-  Die.Builder.add_root b cu;
-  let arena = Die.Builder.finish b in
-  let info, abbrev = Die.encode arena in
-  let arena' = Ds_util.Diag.ok (Die.decode ~info ~abbrev ()) in
-  Alcotest.(check int) "die count" (Die.size arena) (Die.size arena');
-  let root = List.hd (Die.roots arena') in
-  let cu_die = Die.get arena' root in
-  Alcotest.(check int) "cu tag" Dw.tag_compile_unit cu_die.Die.tag;
-  Alcotest.(check (option string)) "cu name" (Some "a.c") (Die.attr_string cu_die Dw.at_name)
-
-let test_die_refs () =
-  let b = Die.Builder.create () in
-  let base =
-    Die.Builder.add b ~tag:Dw.tag_base_type
-      ~attrs:[ (Dw.at_name, Die.String "int"); (Dw.at_byte_size, Die.Int 4) ]
-      ~children:[]
-  in
-  let ptr = Die.Builder.add b ~tag:Dw.tag_pointer_type ~attrs:[ (Dw.at_type, Die.Ref base) ] ~children:[] in
-  let cu =
-    Die.Builder.add b ~tag:Dw.tag_compile_unit
-      ~attrs:[ (Dw.at_name, Die.String "x.c") ]
-      ~children:[ base; ptr ]
-  in
-  Die.Builder.add_root b cu;
-  let info, abbrev = Die.encode (Die.Builder.finish b) in
-  let arena' = Ds_util.Diag.ok (Die.decode ~info ~abbrev ()) in
-  let cu_die = Die.get arena' (List.hd (Die.roots arena')) in
-  let ptr_die =
-    List.find (fun id -> (Die.get arena' id).Die.tag = Dw.tag_pointer_type) cu_die.Die.children
-  in
-  match Die.attr_ref (Die.get arena' ptr_die) Dw.at_type with
-  | Some target ->
-      Alcotest.(check (option string)) "ref resolves" (Some "int")
-        (Die.attr_string (Die.get arena' target) Dw.at_name)
-  | None -> Alcotest.fail "missing type ref"
-
 let test_bad_input () =
-  Alcotest.check_raises "garbage abbrev" (Die.Bad_dwarf "truncated abbrev") (fun () ->
-      ignore (Die.decode ~info:"" ~abbrev:"\x81" ()))
+  Alcotest.check_raises "garbage abbrev" (Info.Bad_dwarf "truncated abbrev") (fun () ->
+      ignore (Info.decode ~info:"" ~abbrev:"\x81" ()))
+
+(* Hand-assembled sections for the lenient cases, written with the
+   standard DWARF 4 tag, attribute and form numbers. *)
+module W = Ds_util.Bytesio.Writer
+
+let abbrev =
+  let w = W.create () in
+  let name = (0x03, 0x08) and byte_size = (0x0b, 0x0f) and type_ = (0x49, 0x13) in
+  List.iter
+    (fun (code, tag, children, pairs) ->
+      W.uleb128 w code;
+      W.uleb128 w tag;
+      W.u8 w (if children then 1 else 0);
+      List.iter
+        (fun (at, form) ->
+          W.uleb128 w at;
+          W.uleb128 w form)
+        (pairs @ [ (0, 0) ]))
+    [
+      (1, 0x11 (* compile_unit *), true, [ name ]);
+      (2, 0x0f (* pointer_type *), false, [ type_ ]);
+      (3, 0x13 (* structure_type *), true, [ name; byte_size ]);
+      (4, 0x0d (* member *), false, [ name; type_ ]);
+      (5, 0x16 (* typedef *), false, [ name; type_ ]);
+      (6, 0x24 (* base_type *), false, [ name; byte_size; (0x3e, 0x0f) (* encoding *) ]);
+    ];
+  W.uleb128 w 0;
+  W.contents w
+
+let unit_header w ~body_len =
+  W.u32 w (7 + body_len);
+  W.u16 w 4;
+  W.u32 w 0;
+  W.u8 w 8
+
+(* One unit holding compile unit "a.c", whose children [children] writes;
+   [at ()] is the section offset of the next byte it writes. *)
+let one_unit children =
+  let body = W.create () in
+  let at () = 11 + W.pos body in
+  W.uleb128 body 1;
+  W.cstring body "a.c";
+  children body at;
+  W.u8 body 0;
+  let w = W.create () in
+  unit_header w ~body_len:(W.pos body);
+  W.append w body;
+  W.contents w
+
+let empty_cu =
+  Info.{ cu_name = "a.c"; cu_subprograms = []; cu_structs = []; cu_enums = []; cu_typedefs = [] }
+
+(* Lenient decodes to [cus] with exactly [diags]; strict raises
+   [Bad_dwarf strict]. *)
+let check_lenient ~info ~cus ~diags ~strict =
+  let o = Info.decode ~mode:`Lenient ~info ~abbrev () in
+  Alcotest.(check bool) "lenient cus" true (Ds_util.Diag.ok o = cus);
+  Alcotest.(check (list string))
+    "lenient diags" diags
+    (List.map Ds_util.Diag.to_string (Ds_util.Diag.diags o));
+  Alcotest.check_raises "strict" (Info.Bad_dwarf strict) (fun () ->
+      ignore (Info.decode ~info ~abbrev ()))
+
+let test_dangling_ref () =
+  let info =
+    one_unit (fun w _ ->
+        W.uleb128 w 3;
+        W.cstring w "s";
+        W.uleb128 w 8;
+        W.uleb128 w 4;
+        W.cstring w "m";
+        W.u32 w 9999;
+        W.u8 w 0)
+  in
+  (* the dropped ref leaves the member untyped; the struct survives *)
+  let s =
+    Decl.
+      {
+        sname = "s";
+        skind = `Struct;
+        byte_size = 8;
+        fields = [ { fname = "m"; ftype = Ctype.Void; bits_offset = 0 } ];
+      }
+  in
+  check_lenient ~info
+    ~cus:[ { empty_cu with cu_structs = [ s ] } ]
+    ~diags:[ "degraded dwarf: 1 dangling references dropped" ]
+    ~strict:"dangling ref to offset 9999"
+
+let test_ref_cycle () =
+  let info =
+    one_unit (fun w at ->
+        let p1 = at () in
+        W.uleb128 w 2;
+        W.u32 w (p1 + 5) (* the next pointer DIE *);
+        W.uleb128 w 2;
+        W.u32 w p1;
+        W.uleb128 w 5;
+        W.cstring w "t";
+        W.u32 w p1)
+  in
+  check_lenient ~info ~cus:[]
+    ~diags:[ "degraded dwarf: 1 compile units undecodable (skipped)" ]
+    ~strict:"type reference cycle"
+
+let test_ref_to_member () =
+  let info =
+    one_unit (fun w at ->
+        let int_ = at () in
+        W.uleb128 w 6;
+        W.cstring w "int";
+        W.uleb128 w 4;
+        W.uleb128 w 5;
+        W.uleb128 w 3;
+        W.cstring w "s";
+        W.uleb128 w 4;
+        let m = at () in
+        W.uleb128 w 4;
+        W.cstring w "m";
+        W.u32 w int_;
+        W.u8 w 0;
+        W.uleb128 w 5;
+        W.cstring w "t";
+        W.u32 w m)
+  in
+  check_lenient ~info ~cus:[]
+    ~diags:[ "degraded dwarf: 1 compile units undecodable (skipped)" ]
+    ~strict:"unexpected type tag 0xd"
+
+let test_unknown_abbrev () =
+  let good = one_unit (fun _ _ -> ()) in
+  let bad = W.create () in
+  unit_header bad ~body_len:1;
+  W.uleb128 bad 42;
+  let off = String.length good in
+  check_lenient ~info:(good ^ W.contents bad) ~cus:[ empty_cu ]
+    ~diags:[ Printf.sprintf "degraded dwarf@%d (unit at offset %d): unknown abbrev 42" off off ]
+    ~strict:(Printf.sprintf "unit at offset %d: unknown abbrev 42" off)
 
 let test_empty_cu_list () =
   let info, abbrev = Info.encode [] in
   Alcotest.(check (list pass)) "no cus" [] (Ds_util.Diag.ok (Info.decode ~info ~abbrev ()))
 
-(* random CU generator for the roundtrip property *)
-let gen_ctype_simple =
+(* Random CUs for the roundtrip property: every kind of type DIE the
+   encoder writes. Aggregate, enum and typedef names come from small
+   pools of which only a prefix is defined, so references hit defined,
+   declaration-only and (through [next] fields) self-referencing types. *)
+let gen_base =
   QCheck.Gen.oneofl
-    Ctype.[ int_; uint; long; char_; u64; u32; Ptr (Struct_ref "request"); Ptr (Const char_) ]
+    Ctype.[ int_; uint; long; char_; u64; u32; bool_; Float { name = "double"; bits = 64 } ]
 
-let gen_proto =
+let gen_named ~typedefs =
   let open QCheck.Gen in
-  let* nparams = int_range 0 4 in
-  let* types = list_size (return nparams) gen_ctype_simple in
-  let* ret = oneof [ return Ctype.Void; gen_ctype_simple ] in
+  let pick f prefix n = map (fun i -> f (Printf.sprintf "%s%d" prefix i)) (int_range 0 n) in
+  oneof
+    ([
+       pick (fun s -> Ctype.Struct_ref s) "s" 5;
+       pick (fun s -> Ctype.Union_ref s) "s" 5;
+       pick (fun s -> Ctype.Enum_ref s) "e" 2;
+     ]
+    @ if typedefs then [ pick (fun s -> Ctype.Typedef_ref s) "t" 2 ] else [])
+
+let gen_proto_of gen_t =
+  let open QCheck.Gen in
+  let* types = list_size (int_range 0 3) gen_t in
+  let* ret = oneof [ return Ctype.Void; gen_t ] in
   let* variadic = bool in
   return
     Ctype.
@@ -224,10 +325,66 @@ let gen_proto =
         variadic;
       }
 
+(* [typedefs:false] for a typedef's own target: a typedef reaching itself
+   through typedefs alone has no finite DWARF. *)
+let gen_type ~typedefs =
+  let open QCheck.Gen in
+  fix
+    (fun self depth ->
+      let leaf = oneof [ gen_base; gen_named ~typedefs ] in
+      if depth = 0 then leaf
+      else
+        let sub = self (depth - 1) in
+        frequency
+          [
+            (4, leaf);
+            (2, map (fun t -> Ctype.Ptr t) sub);
+            (1, return (Ctype.Ptr Ctype.Void));
+            (1, map (fun t -> Ctype.Const t) sub);
+            (1, map (fun t -> Ctype.Volatile t) sub);
+            (1, map2 (fun t n -> Ctype.Array (t, n)) sub (int_range 1 16));
+            (1, map (fun p -> Ctype.Ptr (Ctype.Func_proto p)) (gen_proto_of sub));
+          ])
+    2
+
+let gen_struct name =
+  let open QCheck.Gen in
+  let* kind = oneofl [ `Struct; `Union ] in
+  let* types = list_size (int_range 0 4) (gen_type ~typedefs:true) in
+  let* self_ref = bool in
+  let* byte_size = int_range 0 256 in
+  let self = match kind with `Struct -> Ctype.Struct_ref name | `Union -> Ctype.Union_ref name in
+  let types = if self_ref then types @ [ Ctype.Ptr self ] else types in
+  return
+    Decl.
+      {
+        sname = name;
+        skind = kind;
+        byte_size;
+        fields =
+          List.mapi
+            (fun i t -> { fname = Printf.sprintf "f%d" i; ftype = t; bits_offset = 64 * i })
+            types;
+      }
+
+let gen_enum name =
+  let open QCheck.Gen in
+  let* values = list_size (int_range 0 4) (int_range 0 1000) in
+  return Decl.{ ename = name; values = List.mapi (fun i v -> (Printf.sprintf "E%d" i, v)) values }
+
+let gen_typedef name =
+  QCheck.Gen.map (fun t -> Decl.{ tname = name; aliased = t }) (gen_type ~typedefs:false)
+
+(* the first [0..max] names of a pool, each defined by [gen] *)
+let gen_defs prefix max gen =
+  let open QCheck.Gen in
+  let* n = int_range 0 max in
+  flatten_l (List.init n (fun i -> gen (Printf.sprintf "%s%d" prefix i)))
+
 let gen_subprogram =
   let open QCheck.Gen in
   let* name = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
-  let* proto = gen_proto in
+  let* proto = gen_proto_of (gen_type ~typedefs:true) in
   let* line = int_range 1 5000 in
   let* external_ = bool in
   let* declared_inline = bool in
@@ -259,17 +416,31 @@ let gen_cu =
   let open QCheck.Gen in
   let* name = string_size ~gen:(char_range 'a' 'z') (int_range 1 10) in
   let* sps = list_size (int_range 0 5) gen_subprogram in
+  let* structs = gen_defs "s" 4 gen_struct in
+  let* enums = gen_defs "e" 2 gen_enum in
+  let* typedefs = gen_defs "t" 2 gen_typedef in
   return
     Info.
-      { cu_name = name ^ ".c"; cu_subprograms = sps; cu_structs = []; cu_enums = []; cu_typedefs = [] }
+      {
+        cu_name = name ^ ".c";
+        cu_subprograms = sps;
+        cu_structs = structs;
+        cu_enums = enums;
+        cu_typedefs = typedefs;
+      }
 
-let eq_sp (a : Info.subprogram) (b : Info.subprogram) =
-  a.sp_name = b.sp_name
-  && Ctype.equal_proto a.sp_proto b.sp_proto
-  && a.sp_file = b.sp_file && a.sp_line = b.sp_line && a.sp_external = b.sp_external
-  && a.sp_declared_inline = b.sp_declared_inline
-  && a.sp_low_pc = b.sp_low_pc && a.sp_inlined = b.sp_inlined
-  && a.sp_calls = b.sp_calls
+(* The encoder writes a referenced aggregate before its referrer, so
+   definitions come back in placement order: compare them as sets. *)
+let same_cu (a : Info.cu) (b : Info.cu) =
+  let by key l = List.sort (fun x y -> compare (key x) (key y)) l in
+  let sname (s : Decl.struct_def) = s.sname in
+  let ename (e : Decl.enum_def) = e.ename in
+  let tname (t : Decl.typedef_def) = t.tname in
+  a.cu_name = b.cu_name
+  && a.cu_subprograms = b.cu_subprograms
+  && by sname a.cu_structs = by sname b.cu_structs
+  && by ename a.cu_enums = by ename b.cu_enums
+  && by tname a.cu_typedefs = by tname b.cu_typedefs
 
 let qcheck_info_roundtrip =
   QCheck.Test.make ~name:"dwarf Info roundtrip (random CUs)" ~count:100
@@ -277,13 +448,7 @@ let qcheck_info_roundtrip =
     (fun cus ->
       let info, abbrev = Info.encode cus in
       let cus' = Ds_util.Diag.ok (Info.decode ~info ~abbrev ()) in
-      List.length cus = List.length cus'
-      && List.for_all2
-           (fun (a : Info.cu) (b : Info.cu) ->
-             a.cu_name = b.cu_name
-             && List.length a.cu_subprograms = List.length b.cu_subprograms
-             && List.for_all2 eq_sp a.cu_subprograms b.cu_subprograms)
-           cus cus')
+      List.length cus = List.length cus' && List.for_all2 same_cu cus cus')
 
 let suites =
   [
@@ -295,9 +460,11 @@ let suites =
         Alcotest.test_case "static inline subprogram" `Quick test_static_inline_subprogram;
         Alcotest.test_case "struct def" `Quick test_struct_def_roundtrip;
         Alcotest.test_case "typedef/enum" `Quick test_typedef_enum_roundtrip;
-        Alcotest.test_case "die low level" `Quick test_die_low_level;
-        Alcotest.test_case "die refs" `Quick test_die_refs;
         Alcotest.test_case "bad input" `Quick test_bad_input;
+        Alcotest.test_case "dangling ref" `Quick test_dangling_ref;
+        Alcotest.test_case "ref cycle" `Quick test_ref_cycle;
+        Alcotest.test_case "ref to member" `Quick test_ref_to_member;
+        Alcotest.test_case "unknown abbrev" `Quick test_unknown_abbrev;
         Alcotest.test_case "empty cu list" `Quick test_empty_cu_list;
         QCheck_alcotest.to_alcotest qcheck_info_roundtrip;
       ] );

@@ -65,7 +65,7 @@ let test_btf_header_sweep () =
 let test_dwarf_header_sweep () =
   let info = section ".debug_info" in
   let abbrev = section ".debug_abbrev" in
-  let typed = function Ds_dwarf.Die.Bad_dwarf _ -> true | _ -> false in
+  let typed = function Ds_dwarf.Info.Bad_dwarf _ -> true | _ -> false in
   (* unit header is 11 bytes; sweep past it into the first DIEs *)
   sweep_header ~limit:32 info ~typed
     ~health:(fun m -> Ds_util.Diag.diags (Ds_dwarf.Info.decode ~mode:`Lenient ~info:m ~abbrev ()))

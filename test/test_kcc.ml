@@ -185,7 +185,24 @@ let test_emit_dwarf_decodes () =
   Alcotest.(check bool) "task_struct in types CU" true
     (List.exists
        (fun (s : Ds_ctypes.Decl.struct_def) -> s.sname = "task_struct")
-       types_cu.Ds_dwarf.Info.cu_structs)
+       types_cu.Ds_dwarf.Info.cu_structs);
+  (* Real compiler output through a second encode/decode round. The
+     encoder writes a type before its first referrer, so where aggregates
+     point at each other in a cycle, a second round places definitions in
+     another order: compare those by name, everything else exactly. *)
+  let info', abbrev' = Ds_dwarf.Info.encode cus in
+  let by key l = List.sort (fun a b -> compare (key a) (key b)) l in
+  let norm (cu : Ds_dwarf.Info.cu) =
+    {
+      cu with
+      cu_structs = by (fun (s : Ds_ctypes.Decl.struct_def) -> s.sname) cu.cu_structs;
+      cu_enums = by (fun (e : Ds_ctypes.Decl.enum_def) -> e.ename) cu.cu_enums;
+      cu_typedefs = by (fun (t : Ds_ctypes.Decl.typedef_def) -> t.tname) cu.cu_typedefs;
+    }
+  in
+  let cus' = Ds_util.Diag.ok (Ds_dwarf.Info.decode ~info:info' ~abbrev:abbrev' ()) in
+  Alcotest.(check bool) "re-encoded CUs decode to the same CUs" true
+    (List.map norm cus' = List.map norm cus)
 
 let test_emit_btf_decodes () =
   let img = Testenv.image v44 in
