@@ -77,19 +77,22 @@ let model t v cfg =
 
 let image t v cfg =
   Par.Memo.find_or_compute t.images (key v cfg) (fun () ->
-      Store.memo t.store ~ns:"image"
-        ~key:(cache_key t ~label:(key v cfg) [])
-        ~encode:Ds_elf.Elf.write
-        ~decode:(fun s -> Ds_util.Diag.ok (Ds_elf.Elf.read s))
-        (fun () -> Ds_kcc.Emit.emit (model t v cfg)))
+      (* Serialize once and parse the bytes back: every analysis works on
+         what a real image file would provide, not on in-memory
+         structures. The store keeps those same bytes, and a stored
+         payload goes through the same parse. *)
+      let parse bytes = (bytes, Ds_util.Diag.ok (Ds_elf.Elf.read bytes)) in
+      snd
+        (Store.memo t.store ~ns:"image"
+           ~key:(cache_key t ~label:(key v cfg) [])
+           ~encode:fst ~decode:parse
+           (fun () ->
+             let img = Ds_kcc.Emit.emit (model t v cfg) in
+             parse (Ds_trace.Trace.span ~name:"elf.write" (fun () -> Ds_elf.Elf.write img)))))
 
 let vmlinux t v cfg =
   Par.Memo.find_or_compute t.vmlinuxes (key v cfg) (fun () ->
-      (* Serialize and re-parse: every analysis works on the bytes a real
-         image would provide, not on in-memory structures. *)
-      let img = image t v cfg in
-      let bytes = Ds_trace.Trace.span ~name:"elf.write" (fun () -> Ds_elf.Elf.write img) in
-      Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (Ds_util.Diag.ok (Ds_elf.Elf.read bytes))))
+      Ds_util.Diag.ok (Ds_bpf.Vmlinux.load (image t v cfg)))
 
 let surface t v cfg =
   Par.Memo.find_or_compute t.surfaces (key v cfg) (fun () ->

@@ -42,8 +42,16 @@ val source : t -> Version.t -> Source.t
     construction time. *)
 
 val image : t -> Version.t -> Config.t -> Ds_elf.Elf.t
+(** The image as parsed back from its serialized ELF bytes: compiled,
+    emitted and written once, or (with a store) loaded from the bytes a
+    cold run stored; either way the same {!Ds_elf.Elf.read} produces it,
+    so every caller sees what a real image file would provide. A stored
+    payload that does not parse is evicted and recomputed. *)
+
 val model : t -> Version.t -> Config.t -> Ds_kcc.Compile.model
 val vmlinux : t -> Version.t -> Config.t -> Ds_bpf.Vmlinux.t
+(** {!Ds_bpf.Vmlinux.load} over {!image}; no further serialization. *)
+
 val surface : t -> Version.t -> Config.t -> Surface.t
 val x86_series : t -> (Version.t * Surface.t) list
 (** The 17 x86/generic surfaces in release order. *)
@@ -54,8 +62,10 @@ val warm : t -> unit
 
 val warm_list : ?pool:Ds_util.Par.pool -> t -> (Version.t * Config.t) list -> unit
 (** Force the given images, through the pool when one is supplied. Each
-    image's compile → emit → ELF-roundtrip → parse → surface chain is
-    independent, so this fans out near-linearly.
+    image's compile → emit → ELF write → ELF read → vmlinux load →
+    surface chain (with a warm store: store read → ELF read, or the
+    stored surface alone) is independent, so this fans out
+    near-linearly.
 
     All accessors above are safe to call from multiple domains: the memo
     tables guarantee each (version, config) model/image/vmlinux/surface

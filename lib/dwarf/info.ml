@@ -56,6 +56,7 @@ module Dw = struct
   let at_inline = 0x20
   let at_prototyped = 0x27
   let at_upper_bound = 0x2f
+  let at_count = 0x37
   let at_data_member_location = 0x38
   let at_decl_file = 0x3a
   let at_decl_line = 0x3b
@@ -77,6 +78,7 @@ module Dw = struct
 
   let form_data8 = 0x07
   let form_string = 0x08
+  let form_sdata = 0x0d
   let form_udata = 0x0f
   let form_ref4 = 0x13
   let form_flag_present = 0x19
@@ -93,7 +95,8 @@ let unit_header_size = 11
    each in its one form. An abbreviation is a tag, a children flag and a
    subset of this table, so a DIE's shape is an int: bit [i] of the mask
    stands for [attributes.(i)], and a DIE writes its values in table
-   order. *)
+   order. The last two serve only values the unsigned forms cannot
+   carry: a negative enumerator and an empty array's count. *)
 let attributes =
   Dw.
     [|
@@ -114,6 +117,8 @@ let attributes =
       (at_call_line, form_udata);
       (at_call_origin, form_string);
       (at_type, form_ref4);
+      (at_const_value, form_sdata);
+      (at_count, form_udata);
     |]
 
 let a_name = 1 lsl 0
@@ -133,6 +138,8 @@ let a_call_file = 1 lsl 13
 let a_call_line = 1 lsl 14
 let a_call_origin = 1 lsl 15
 let a_type = 1 lsl 16
+let a_const_sdata = 1 lsl 17
+let a_count = 1 lsl 18
 
 type enc = {
   abbrev : W.t;
@@ -234,8 +241,15 @@ let write_cu e cu =
         let ty = resolve elem in
         let off = open_die e Dw.tag_array_type ~children:true (has_type ty) in
         type_ref e ty;
-        ignore (open_die e Dw.tag_subrange_type ~children:false a_upper_bound);
-        udata e (n - 1);
+        (* an empty array has no upper bound to give: it says its count *)
+        if n > 0 then begin
+          ignore (open_die e Dw.tag_subrange_type ~children:false a_upper_bound);
+          udata e (n - 1)
+        end
+        else begin
+          ignore (open_die e Dw.tag_subrange_type ~children:false a_count);
+          udata e n
+        end;
         end_children e ~children:true;
         off
     | Ctype.Struct_ref name -> aggregate `Struct name
@@ -294,9 +308,16 @@ let write_cu e cu =
         udata e 4;
         List.iter
           (fun (n, v) ->
-            ignore (open_die e Dw.tag_enumerator ~children:false (a_name lor a_const_value));
-            str e n;
-            udata e v)
+            if v >= 0 then begin
+              ignore (open_die e Dw.tag_enumerator ~children:false (a_name lor a_const_value));
+              str e n;
+              udata e v
+            end
+            else begin
+              ignore (open_die e Dw.tag_enumerator ~children:false (a_name lor a_const_sdata));
+              str e n;
+              W.sleb128 e.body v
+            end)
           def.values;
         end_children e ~children;
         off
@@ -405,6 +426,7 @@ type die = {
   mutable byte_size : int option;
   mutable encoding : int option;
   mutable upper_bound : int option;
+  mutable count : int option;
   mutable location : int option;
   mutable const_value : int option;
   mutable decl_line : int option;
@@ -426,6 +448,7 @@ let new_die tag =
     byte_size = None;
     encoding = None;
     upper_bound = None;
+    count = None;
     location = None;
     const_value = None;
     decl_line = None;
@@ -462,11 +485,16 @@ let read_attr r d refs (at, form) =
     if at = Dw.at_byte_size then d.byte_size <- Some i
     else if at = Dw.at_encoding then d.encoding <- Some i
     else if at = Dw.at_upper_bound then d.upper_bound <- Some i
+    else if at = Dw.at_count then d.count <- Some i
     else if at = Dw.at_data_member_location then d.location <- Some i
     else if at = Dw.at_const_value then d.const_value <- Some i
     else if at = Dw.at_decl_line then d.decl_line <- Some i
     else if at = Dw.at_call_line then d.call_line <- Some i
     else if at = Dw.at_inline then d.inline <- Some i
+  end
+  else if form = Dw.form_sdata then begin
+    let i = R.sleb128 r in
+    if at = Dw.at_const_value then d.const_value <- Some i
   end
   else if form = Dw.form_data8 then begin
     let a = R.u64 r in
@@ -619,7 +647,10 @@ let decode_cu table cu_die =
         List.fold_left
           (fun acc (c : die) ->
             if c.tag = Dw.tag_subrange_type then
-              match c.upper_bound with Some u -> u + 1 | None -> acc
+              match (c.count, c.upper_bound) with
+              | Some n, _ -> n
+              | None, Some u -> u + 1
+              | None, None -> acc
             else acc)
           0 die.children
       in

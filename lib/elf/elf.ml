@@ -53,23 +53,26 @@ let ehdr_size = 64
 let shdr_size = 64
 let sym_size = 24
 
-(* A string table: offset 0 is the empty string. *)
+(* A string table: offset 0 is the empty string; a repeated name gets
+   the offset it was first added at. *)
 module Strtab = struct
-  type t = { buf : Buffer.t; mutable offsets : (string * int) list }
+  type t = { buf : Buffer.t; offsets : (string, int) Hashtbl.t }
 
   let create () =
     let buf = Buffer.create 256 in
     Buffer.add_char buf '\000';
-    { buf; offsets = [ ("", 0) ] }
+    let offsets = Hashtbl.create 64 in
+    Hashtbl.add offsets "" 0;
+    { buf; offsets }
 
   let add t s =
-    match List.assoc_opt s t.offsets with
+    match Hashtbl.find_opt t.offsets s with
     | Some off -> off
     | None ->
         let off = Buffer.length t.buf in
         Buffer.add_string t.buf s;
         Buffer.add_char t.buf '\000';
-        t.offsets <- (s, off) :: t.offsets;
+        Hashtbl.add t.offsets s off;
         off
 
   let contents t = Buffer.contents t.buf
@@ -83,65 +86,63 @@ let bind_of_code = function
   | 2 -> Weak
   | c -> raise (Bad_elf (Printf.sprintf "bad symbol bind %d" c))
 
+(* .symtab and .strtab for [t.symbols]. A symbol's st_shndx is its
+   section's index in the final header table: 0 is SHN_UNDEF (also for a
+   section the image lacks), user sections follow in order, and the first
+   of two same-named sections wins. *)
+let symbol_sections t =
+  let index = Hashtbl.create 16 in
+  List.iteri
+    (fun i s -> if not (Hashtbl.mem index s.sec_name) then Hashtbl.add index s.sec_name (i + 1))
+    t.sections;
+  let strtab = Strtab.create () in
+  let w =
+    Bytesio.Writer.create ~size:(sym_size * (List.length t.symbols + 1))
+      ~endian:(machine_endian t.machine) ()
+  in
+  (* Null symbol first, as the spec requires. *)
+  Bytesio.Writer.bytes w (String.make sym_size '\000');
+  List.iter
+    (fun sym ->
+      Bytesio.Writer.u32 w (Strtab.add strtab sym.sym_name);
+      Bytesio.Writer.u8 w (bind_code sym.sym_bind lsl 4 lor 2 (* STT_FUNC *));
+      Bytesio.Writer.u8 w 0;
+      Bytesio.Writer.u16 w (Option.value ~default:0 (Hashtbl.find_opt index sym.sym_section));
+      Bytesio.Writer.u64 w sym.sym_value;
+      Bytesio.Writer.uint w sym.sym_size)
+    t.symbols;
+  [
+    { sec_name = ".symtab"; sec_addr = 0L; sec_data = Bytesio.Writer.contents w };
+    { sec_name = ".strtab"; sec_addr = 0L; sec_data = Strtab.contents strtab };
+  ]
+
+let align8 n = (n + 7) land lnot 7
+
 let write t =
   let endian = machine_endian t.machine in
-  (* Build .strtab + .symtab if there are symbols. *)
-  let user_sections = t.sections in
-  let section_index name =
-    (* Index in the final header table: 0 is SHN_UNDEF, user sections
-       follow in order. *)
-    let rec go i = function
-      | [] -> 0
-      | s :: _ when s.sec_name = name -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 1 user_sections
-  in
-  let extra_sections =
-    if t.symbols = [] then []
-    else begin
-      let strtab = Strtab.create () in
-      let w = Bytesio.Writer.create ~endian () in
-      (* Null symbol first, as the spec requires. *)
-      Bytesio.Writer.bytes w (String.make sym_size '\000');
-      List.iter
-        (fun sym ->
-          let name_off = Strtab.add strtab sym.sym_name in
-          Bytesio.Writer.u32 w name_off;
-          Bytesio.Writer.u8 w (bind_code sym.sym_bind lsl 4 lor 2 (* STT_FUNC *));
-          Bytesio.Writer.u8 w 0;
-          Bytesio.Writer.u16 w (section_index sym.sym_section);
-          Bytesio.Writer.u64 w sym.sym_value;
-          Bytesio.Writer.uint w sym.sym_size)
-        t.symbols;
-      [
-        { sec_name = ".symtab"; sec_addr = 0L; sec_data = Bytesio.Writer.contents w };
-        { sec_name = ".strtab"; sec_addr = 0L; sec_data = Strtab.contents strtab };
-      ]
-    end
-  in
   let shstrtab = Strtab.create () in
-  let sections = user_sections @ extra_sections in
-  let name_offs = List.map (fun s -> Strtab.add shstrtab s.sec_name) sections in
-  let shstr_off = Strtab.add shstrtab ".shstrtab" in
-  let shstr_data = Strtab.contents shstrtab in
-  let all = sections @ [ { sec_name = ".shstrtab"; sec_addr = 0L; sec_data = shstr_data } ] in
-  let name_offs = name_offs @ [ shstr_off ] in
-  (* Layout: ehdr, section bodies (8-aligned), section header table. *)
-  let body = Bytesio.Writer.create ~endian () in
-  let offsets =
+  let named =
     List.map
-      (fun s ->
-        Bytesio.Writer.align body 8;
-        let off = ehdr_size + Bytesio.Writer.pos body in
-        Bytesio.Writer.bytes body s.sec_data;
-        off)
-      all
+      (fun s -> (Strtab.add shstrtab s.sec_name, s))
+      (t.sections @ if t.symbols = [] then [] else symbol_sections t)
   in
-  Bytesio.Writer.align body 8;
-  let shoff = ehdr_size + Bytesio.Writer.pos body in
+  let shstr_off = Strtab.add shstrtab ".shstrtab" in
+  let all =
+    named
+    @ [ (shstr_off, { sec_name = ".shstrtab"; sec_addr = 0L; sec_data = Strtab.contents shstrtab }) ]
+  in
+  (* Layout first: ehdr, section bodies (8-aligned), section header
+     table; then everything goes into one buffer of the final size. *)
+  let body_end, placed =
+    List.fold_left_map
+      (fun pos (name_off, s) ->
+        let off = align8 pos in
+        (off + String.length s.sec_data, (name_off, off, s)))
+      ehdr_size all
+  in
+  let shoff = align8 body_end in
   let shnum = List.length all + 1 in
-  let out = Bytesio.Writer.create ~endian () in
+  let out = Bytesio.Writer.create ~size:(shoff + (shnum * shdr_size)) ~endian () in
   (* ELF header *)
   Bytesio.Writer.bytes out "\x7fELF";
   Bytesio.Writer.u8 out 2 (* ELFCLASS64 container *);
@@ -162,7 +163,13 @@ let write t =
   Bytesio.Writer.u16 out shnum;
   Bytesio.Writer.u16 out (shnum - 1) (* shstrndx: .shstrtab is the last header *);
   assert (Bytesio.Writer.pos out = ehdr_size);
-  Bytesio.Writer.bytes out (Bytesio.Writer.contents body);
+  List.iter
+    (fun (_, _, s) ->
+      Bytesio.Writer.align out 8;
+      Bytesio.Writer.bytes out s.sec_data)
+    placed;
+  Bytesio.Writer.align out 8;
+  assert (Bytesio.Writer.pos out = shoff);
   (* Section header table: null entry then one per section. *)
   let shdr ~name_off ~addr ~off ~size =
     Bytesio.Writer.u32 out name_off;
@@ -177,11 +184,10 @@ let write t =
     Bytesio.Writer.u64 out 0L
   in
   shdr ~name_off:0 ~addr:0L ~off:0 ~size:0;
-  List.iteri
-    (fun i s ->
-      shdr ~name_off:(List.nth name_offs i) ~addr:s.sec_addr ~off:(List.nth offsets i)
-        ~size:(String.length s.sec_data))
-    all;
+  List.iter
+    (fun (name_off, off, s) ->
+      shdr ~name_off ~addr:s.sec_addr ~off ~size:(String.length s.sec_data))
+    placed;
   Bytesio.Writer.contents out
 
 (* The shstrndx trick above: the null header is index 0, user sections are

@@ -65,7 +65,7 @@ end
 module Writer = struct
   type t = { buf : Buffer.t; endian : endian }
 
-  let create ?(endian = Little) () = { buf = Buffer.create 1024; endian }
+  let create ?(size = 1024) ?(endian = Little) () = { buf = Buffer.create size; endian }
   let endian t = t.endian
   let pos t = Buffer.length t.buf
   let u8 t v = Buffer.add_char t.buf (Char.chr (v land 0xFF))

@@ -57,7 +57,10 @@ end
 module Writer : sig
   type t
 
-  val create : ?endian:endian -> unit -> t
+  val create : ?size:int -> ?endian:endian -> unit -> t
+  (** [size] is the initial capacity in bytes (default 1024); the writer
+      grows past it as needed. *)
+
   val endian : t -> endian
   val pos : t -> int
 

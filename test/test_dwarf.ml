@@ -147,6 +147,63 @@ let test_typedef_enum_roundtrip () =
     [ ("REQ_OP_READ", 0); ("REQ_OP_WRITE", 1) ]
     e.Decl.values
 
+(* One CU defining [defs] and one subprogram taking [param]. *)
+let cu_with ?(enums = []) ?(structs = []) param =
+  Info.
+    {
+      cu_name = "neg.c";
+      cu_subprograms =
+        [
+          {
+            sp_name = "f";
+            sp_proto = mk_proto Ctype.void [ ("x", param) ];
+            sp_file = "neg.c";
+            sp_line = 1;
+            sp_external = true;
+            sp_declared_inline = false;
+            sp_low_pc = None;
+            sp_inlined = [];
+            sp_calls = [];
+          };
+        ];
+      cu_structs = structs;
+      cu_enums = enums;
+      cu_typedefs = [];
+    }
+
+(* [enum e { A = -1, B = 0, C = min_int }]: negative constants go out as
+   DW_FORM_sdata and come back signed. *)
+let test_negative_enumerator () =
+  let values = [ ("A", -1); ("B", 0); ("C", min_int) ] in
+  let cu = cu_with ~enums:[ { Decl.ename = "e"; values } ] (Ctype.Enum_ref "e") in
+  match roundtrip [ cu ] with
+  | [ cu' ] ->
+      Alcotest.(check (list (pair string int))) "values" values
+        (List.hd cu'.Info.cu_enums).Decl.values
+  | _ -> Alcotest.fail "one cu expected"
+
+(* [T x[0]] (a flexible array member, and a bare parameter): the
+   subrange says DW_AT_count 0 instead of an upper bound of -1. *)
+let test_zero_length_array () =
+  let arr = Ctype.Array (Ctype.u32, 0) in
+  let tail =
+    Decl.
+      {
+        sname = "tail";
+        skind = `Struct;
+        byte_size = 8;
+        fields =
+          [
+            { fname = "len"; ftype = Ctype.u64; bits_offset = 0 };
+            { fname = "data"; ftype = arr; bits_offset = 64 };
+          ];
+      }
+  in
+  let cu = cu_with ~structs:[ tail ] arr in
+  match roundtrip [ cu ] with
+  | [ cu' ] -> Alcotest.(check bool) "member and param read back" true (cu' = cu)
+  | _ -> Alcotest.fail "one cu expected"
+
 let test_bad_input () =
   Alcotest.check_raises "garbage abbrev" (Info.Bad_dwarf "truncated abbrev") (fun () ->
       ignore (Info.decode ~info:"" ~abbrev:"\x81" ()))
@@ -342,7 +399,7 @@ let gen_type ~typedefs =
             (1, return (Ctype.Ptr Ctype.Void));
             (1, map (fun t -> Ctype.Const t) sub);
             (1, map (fun t -> Ctype.Volatile t) sub);
-            (1, map2 (fun t n -> Ctype.Array (t, n)) sub (int_range 1 16));
+            (1, map2 (fun t n -> Ctype.Array (t, n)) sub (int_range 0 16));
             (1, map (fun p -> Ctype.Ptr (Ctype.Func_proto p)) (gen_proto_of sub));
           ])
     2
@@ -369,7 +426,7 @@ let gen_struct name =
 
 let gen_enum name =
   let open QCheck.Gen in
-  let* values = list_size (int_range 0 4) (int_range 0 1000) in
+  let* values = list_size (int_range 0 4) (int_range (-1000) 1000) in
   return Decl.{ ename = name; values = List.mapi (fun i v -> (Printf.sprintf "E%d" i, v)) values }
 
 let gen_typedef name =
@@ -460,6 +517,8 @@ let suites =
         Alcotest.test_case "static inline subprogram" `Quick test_static_inline_subprogram;
         Alcotest.test_case "struct def" `Quick test_struct_def_roundtrip;
         Alcotest.test_case "typedef/enum" `Quick test_typedef_enum_roundtrip;
+        Alcotest.test_case "negative enumerator" `Quick test_negative_enumerator;
+        Alcotest.test_case "zero-length array" `Quick test_zero_length_array;
         Alcotest.test_case "bad input" `Quick test_bad_input;
         Alcotest.test_case "dangling ref" `Quick test_dangling_ref;
         Alcotest.test_case "ref cycle" `Quick test_ref_cycle;

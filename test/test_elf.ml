@@ -105,6 +105,103 @@ let test_empty_symbols () =
   Alcotest.(check int) "no symbols" 0 (List.length img'.Elf.symbols);
   Alcotest.(check int) "one section" 1 (List.length img'.Elf.sections)
 
+(* The raw bytes of a section, found through the header table alone
+   ([Elf.read] drops .symtab and .strtab from its result). *)
+let raw_section bytes name =
+  let r = Bytesio.Reader.of_string bytes in
+  Bytesio.Reader.seek r 40;
+  let shoff = Bytesio.Reader.uint r in
+  Bytesio.Reader.seek r 60;
+  let shnum = Bytesio.Reader.u16 r in
+  let shstrndx = Bytesio.Reader.u16 r in
+  let header i =
+    Bytesio.Reader.seek r (shoff + (i * 64));
+    let name_off = Bytesio.Reader.u32 r in
+    Bytesio.Reader.seek r (shoff + (i * 64) + 24);
+    let off = Bytesio.Reader.uint r in
+    let size = Bytesio.Reader.uint r in
+    (name_off, String.sub bytes off size)
+  in
+  let shstr = Bytesio.Reader.of_string (snd (header shstrndx)) in
+  List.find_map
+    (fun i ->
+      let name_off, data = header i in
+      if Bytesio.Reader.cstring_at shstr name_off = name then Some data else None)
+    (List.init (shnum - 1) (fun i -> i + 1))
+
+(* 10k symbols over 500 names: the image reads back as written, and
+   .strtab holds each distinct name once, in first-use order. *)
+let test_repeated_symbol_names () =
+  let name i = Printf.sprintf "sym_%d" (i * 7919 mod 500) in
+  let symbols =
+    List.init 10_000 (fun i ->
+        Elf.
+          {
+            sym_name = name i;
+            sym_value = Int64.of_int (0x1000 + i);
+            sym_size = i mod 64;
+            sym_bind = (match i mod 3 with 0 -> Global | 1 -> Local | _ -> Weak);
+            sym_section = (if i mod 5 = 0 then ".data" else ".text");
+          })
+  in
+  let img =
+    Elf.
+      {
+        machine = X86_64;
+        sections =
+          [
+            { sec_name = ".text"; sec_addr = 0x1000L; sec_data = String.make 10_000 '\x90' };
+            { sec_name = ".data"; sec_addr = 0x4000L; sec_data = "data" };
+          ];
+        symbols;
+      }
+  in
+  let bytes = Elf.write img in
+  Alcotest.(check bool) "read back equals written" true (Ds_util.Diag.ok (Elf.read bytes) = img);
+  (* 7919 is prime to 500, so the first 500 symbols use every name *)
+  let first_use = List.init 500 name in
+  Alcotest.(check int) "500 distinct names" 500
+    (List.length (List.sort_uniq compare (List.map (fun s -> s.Elf.sym_name) symbols)));
+  Alcotest.(check int) "first 500 distinct" 500 (List.length (List.sort_uniq compare first_use));
+  Alcotest.(check (option string)) ".strtab"
+    (Some ("\000" ^ String.concat "" (List.map (fun n -> n ^ "\000") first_use)))
+    (raw_section bytes ".strtab")
+
+(* [sample_image] plus a repeated symbol name, a symbol in a section the
+   image lacks, an empty name and a duplicate section name. *)
+let pinned_image machine =
+  let img = sample_image machine in
+  let sym name value bind section =
+    Elf.{ sym_name = name; sym_value = value; sym_size = 8; sym_bind = bind; sym_section = section }
+  in
+  Elf.
+    {
+      img with
+      sections =
+        img.sections
+        @ [
+            { sec_name = ".data"; sec_addr = 0L; sec_data = "shadowed" };
+            { sec_name = ".rodata"; sec_addr = 0xffff000000030000L; sec_data = "odd-length" };
+          ];
+      symbols =
+        img.symbols
+        @ [
+            sym "vfs_fsync" 0xffff000000010040L Weak ".text";
+            sym "jiffies" 0xffff000000020000L Global ".data";
+            sym "__start_ext" 0L Global ".bss";
+            sym "" 0L Local ".rodata";
+          ];
+    }
+
+(* The writer's exact bytes, pinned: the image store keeps them, so a
+   writer change that moves one byte orphans every stored image. *)
+let test_pinned_bytes () =
+  List.iter
+    (fun (m, digest) ->
+      Alcotest.(check string) (Elf.machine_to_string m) digest
+        (Digest.to_hex (Digest.string (Elf.write (pinned_image m)))))
+    [ (X86_64, "b533fc403f59941f330fe29d42216c93"); (Ppc64, "ff368aa8814714a14fb191025a8f880c") ]
+
 let qcheck_section_roundtrip =
   QCheck.Test.make ~name:"elf arbitrary section data roundtrip" ~count:100
     QCheck.(string_of_size (QCheck.Gen.int_range 0 2000))
@@ -172,6 +269,8 @@ let suites =
         Alcotest.test_case "deref arm32 ptr size" `Quick test_deref_arm32;
         Alcotest.test_case "deref unmapped" `Quick test_deref_unmapped;
         Alcotest.test_case "empty symbols" `Quick test_empty_symbols;
+        Alcotest.test_case "repeated symbol names" `Quick test_repeated_symbol_names;
+        Alcotest.test_case "pinned bytes" `Quick test_pinned_bytes;
         QCheck_alcotest.to_alcotest qcheck_section_roundtrip;
         QCheck_alcotest.to_alcotest qcheck_symbols_roundtrip;
       ] );

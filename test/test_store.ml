@@ -918,6 +918,46 @@ let test_store_cross_dataset_hit () =
   ignore (Dataset.surface dsc (Version.v 5 4) Config.x86_generic);
   Alcotest.(check bool) "different seed misses" true ((Store.stats sc).Store.c_misses > 0)
 
+(* A dataset's image is the one parsed back from its serialized bytes,
+   whether those bytes were just written (no store, cold store) or loaded
+   (warm store): all three serialize to the same file. *)
+let image_bytes ds = Ds_elf.Elf.write (Dataset.image ds (Version.v 5 4) Config.x86_generic)
+
+let test_store_image_tiers () =
+  let plain = image_bytes (Lazy.force ds) in
+  let dir = fresh_dir () in
+  let sa = Store.open_ ~dir () in
+  let cold = image_bytes (Dataset.build ~seed:Testenv.seed ~store:sa Calibration.test_scale) in
+  Alcotest.(check int) "cold: one image written" 1 (Store.stats sa).Store.c_writes;
+  let sb = Store.open_ ~dir () in
+  let dsb = Dataset.build ~seed:Testenv.seed ~store:sb Calibration.test_scale in
+  let warm = image_bytes dsb in
+  Alcotest.(check int) "warm: image hit" 1 (Store.stats sb).Store.c_hits;
+  Alcotest.(check int) "warm: zero compiles" 0 (Dataset.compile_count dsb);
+  Alcotest.(check string) "cold = store-less" plain cold;
+  Alcotest.(check string) "warm = store-less" plain warm
+
+(* An intact frame whose payload is not an ELF file: the parse that
+   decodes a stored image rejects it, so it is evicted once and the image
+   recomputed to the same bytes. *)
+let test_store_image_undecodable () =
+  let dir = fresh_dir () in
+  let sa = Store.open_ ~dir () in
+  let cold = image_bytes (Dataset.build ~seed:Testenv.seed ~store:sa Calibration.test_scale) in
+  (match List.filter (fun e -> e.Store.e_ns = "image") (Store.entries ~dir) with
+  | [ e ] -> Store.add sa ~ns:"image" ~key:e.Store.e_key (String.make 100 'x')
+  | es -> Alcotest.failf "%d image entries, expected 1" (List.length es));
+  let sb = Store.open_ ~dir () in
+  let dsb = Dataset.build ~seed:Testenv.seed ~store:sb Calibration.test_scale in
+  Alcotest.(check string) "recomputed bytes" cold (image_bytes dsb);
+  let c = Store.stats sb in
+  Alcotest.(check int) "evicted once" 1 c.Store.c_evictions;
+  Alcotest.(check int) "recompiled" 1 (Dataset.compile_count dsb);
+  Alcotest.(check int) "rewritten" 1 c.Store.c_writes;
+  let sc = Store.open_ ~dir () in
+  ignore (image_bytes (Dataset.build ~seed:Testenv.seed ~store:sc Calibration.test_scale));
+  Alcotest.(check int) "then a hit" 1 (Store.stats sc).Store.c_hits
+
 let suites =
   [
     ( "store.hash",
@@ -968,5 +1008,9 @@ let suites =
         QCheck_alcotest.to_alcotest qcheck_surface_lookups;
       ] );
     ( "store.integration",
-      [ Alcotest.test_case "cross-dataset cache hit" `Quick test_store_cross_dataset_hit ] );
+      [
+        Alcotest.test_case "cross-dataset cache hit" `Quick test_store_cross_dataset_hit;
+        Alcotest.test_case "image bytes across store tiers" `Quick test_store_image_tiers;
+        Alcotest.test_case "undecodable image payload" `Quick test_store_image_undecodable;
+      ] );
   ]
